@@ -17,11 +17,10 @@
 //! with full telemetry (debug logger + `/metrics` endpoint) against the
 //! default server, a `wal` section comparing binary ingest with
 //! write-ahead logging on (`fsync=batch`) against the in-memory default,
-//! and a `serving` section: the open-loop latency curve (per-front-end
-//! p50/p99/p99.9 under a fixed arrival rate, with 0 → 10k idle background
-//! connections) that separates the worker-pool front end from the
-//! `epfis-net` event loop — so perf changes can be compared across commits
-//! and thread counts. A `faults` section measures the cost of the VFS
+//! and a `serving` section: the open-loop latency curve (exact
+//! p50/p99/p99.9 under a fixed arrival rate, with 0, 1k and 10k idle
+//! background connections on the server's reactors) — so perf changes can
+//! be compared across commits and thread counts. A `faults` section measures the cost of the VFS
 //! indirection the fault-injection layer added (an append loop through
 //! `StdVfs` vs the same loop on `std::fs` directly, fsync outside the
 //! timed region — the passthrough must keep ≥ 90% of the direct rate) and what degraded mode
@@ -101,7 +100,7 @@ mod baselines {
     pub const VFS_PASSTHROUGH_MIN_RATIO: f64 = 0.90;
     /// The PR9-recorded serving rates (`BENCH_PR9.json` in the repository
     /// history). PR 10 threads per-request span timing and the slow-log
-    /// threshold check through both front ends; the observatory floors
+    /// threshold check through the serving path; the observatory floors
     /// assert the instrumented paths keep at least
     /// [`PR10_MIN_FRACTION`] of these.
     pub const PR9_TEXT_INGEST_REFS_PER_SEC: f64 = 3_335_767.0;
@@ -356,32 +355,18 @@ fn main() {
     let _ = std::fs::remove_dir_all(&fault_wal_dir);
 
     // The connection-scaling curve: open-loop PING latency at a fixed
-    // arrival rate per front end, with a growing pile of idle background
-    // connections. The admission cap is lifted so the curve isolates the
-    // serving core (thread-per-connection vs readiness loop), not the
-    // shed policy: pool workers are pinned by idle peers, the event loop
-    // is not.
+    // arrival rate, with a growing pile of idle background connections
+    // spread over the reactors. The admission cap is lifted past the pile
+    // so the curve measures the serving core, not the shed policy.
     // Each point runs the `loadgen` binary (built alongside this one) as a
     // subprocess rather than the library in-process: the 10k-idle point
     // needs ~10k fds on each side of the loopback, and splitting client
     // from server keeps both under a 20k `RLIMIT_NOFILE` hard cap even
     // where `CAP_SYS_RESOURCE` is unavailable to raise it.
-    let serving_points: Vec<(epfis_server::Frontend, usize)> = vec![
-        (epfis_server::Frontend::Pool, 0),
-        (epfis_server::Frontend::Pool, 1_000),
-        (epfis_server::Frontend::Evloop, 0),
-        (epfis_server::Frontend::Evloop, 1_000),
-        (epfis_server::Frontend::Evloop, 10_000),
-    ];
     let serving_rate = 2_000.0;
     let mut serving_results = Vec::new();
-    for (frontend, idle_conns) in serving_points {
+    for idle_conns in [0, 1_000, 10_000] {
         let server = epfis_server::serve(epfis_server::ServerConfig {
-            frontend,
-            // Enough pool workers for every *active* connection, so the
-            // pool points degrade from idle-peer pinning alone, not from
-            // undersizing the pool relative to the generator.
-            workers: 32,
             limits: epfis_server::LimitsConfig {
                 max_connections: 20_000,
                 ..epfis_server::LimitsConfig::default()
@@ -391,7 +376,7 @@ fn main() {
         .expect("bind serving-curve server");
         let report = loadgen_subprocess(server.addr(), serving_rate, 1_000, 32, idle_conns);
         server.shutdown_and_join();
-        serving_results.push((frontend, idle_conns, report));
+        serving_results.push((idle_conns, report));
     }
 
     let mut json = String::from("{\n");
@@ -540,7 +525,7 @@ fn main() {
     json.push_str(&format!(
         "    \"open_loop_rate_per_sec\": {serving_rate:.0},\n    \"points\": [\n"
     ));
-    for (i, (frontend, idle_conns, report)) in serving_results.iter().enumerate() {
+    for (i, (idle_conns, report)) in serving_results.iter().enumerate() {
         let comma = if i + 1 < serving_results.len() {
             ","
         } else {
@@ -550,14 +535,11 @@ fn main() {
             // The loadgen report is already one JSON object; annotate it
             // with the point's coordinates by splicing past its brace.
             Ok(line) => json.push_str(&format!(
-                "      {{\"frontend\": \"{}\", \"idle_conns\": {idle_conns}, {}{comma}\n",
-                frontend.as_str(),
+                "      {{\"idle_conns\": {idle_conns}, {}{comma}\n",
                 line.trim_start_matches('{')
             )),
             Err(e) => json.push_str(&format!(
-                "      {{\"frontend\": \"{}\", \"idle_conns\": {idle_conns}, \
-                 \"failed\": \"{e}\"}}{comma}\n",
-                frontend.as_str()
+                "      {{\"idle_conns\": {idle_conns}, \"failed\": \"{e}\"}}{comma}\n"
             )),
         }
     }
@@ -674,27 +656,23 @@ fn main() {
             observatory_shifted.mean_rel_err
         );
     }
-    // The event loop must serve its open-loop load error-free underneath
-    // 1k idle connections (the pool is *expected* to degrade there — its
-    // points are recorded, not asserted).
-    match serving_results
-        .iter()
-        .find(|(f, idle, _)| *f == epfis_server::Frontend::Evloop && *idle == 1_000)
-    {
-        Some((_, _, Ok(line)))
+    // The open-loop load must be served error-free underneath 1k idle
+    // connections.
+    match serving_results.iter().find(|(idle, _)| *idle == 1_000) {
+        Some((_, Ok(line)))
             if json_u64(line, "errors") == Some(0)
                 && json_u64(line, "completed").is_some_and(|c| c > 0)
                 && json_u64(line, "completed") == json_u64(line, "sent") =>
         {
             println!(
-                "baseline PASS: evloop open-loop @1k idle: {} completed, 0 errors, p99 {}us",
+                "baseline PASS: open-loop @1k idle: {} completed, 0 errors, p99 {}us",
                 json_u64(line, "completed").unwrap_or(0),
                 json_u64(line, "p99_us").unwrap_or(0)
             );
         }
-        Some((_, _, report)) => {
+        Some((_, report)) => {
             failed = true;
-            println!("baseline FAIL: evloop open-loop @1k idle: {report:?}");
+            println!("baseline FAIL: open-loop @1k idle: {report:?}");
         }
         None => {}
     }

@@ -10,13 +10,17 @@
 //! stretching the run (the coordinated-omission trap).
 //!
 //! The generator is a single thread multiplexing every client connection
-//! over an [`epfis_net::Poller`] — the same readiness core the event-loop
-//! front end uses — so one process can hold thousands of connections
+//! over an [`epfis_net::Poller`] — the same readiness core the server's
+//! reactors use — so one process can hold thousands of connections
 //! (`idle_conns`) while pushing requests through a few active ones, which
-//! is exactly the shape that separates the two serving front ends.
+//! is exactly the shape that shows whether idle peers cost the server
+//! anything.
+//!
+//! Every latency sample is kept, so the reported percentiles are exact
+//! order statistics, not histogram bucket edges: a CI gate such as
+//! `--assert-p99-ms` then moves with the latency, not in 2× steps.
 
 use epfis_net::{Event, Interest, Poller, Token};
-use epfis_obs::Histogram;
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -213,8 +217,8 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
         });
     }
 
-    let latency = Histogram::new();
-    let per_command: Vec<Histogram> = commands.iter().map(|_| Histogram::new()).collect();
+    // Latency samples (µs) per command of the mix.
+    let mut latency: Vec<Vec<u64>> = vec![Vec::new(); commands.len()];
     let mut sent = 0u64;
     let mut completed = 0u64;
     let mut errors = 0u64;
@@ -278,14 +282,7 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
                 continue;
             }
             if event.readable {
-                read_conn(
-                    conn,
-                    &latency,
-                    &per_command,
-                    &mut completed,
-                    &mut errors,
-                    &mut poller,
-                )?;
+                read_conn(conn, &mut latency, &mut completed, &mut errors, &mut poller)?;
             }
             if event.writable && !conn.dead {
                 flush_conn(conn, &mut poller)?;
@@ -295,28 +292,44 @@ pub fn run(config: &LoadgenConfig) -> io::Result<LoadgenReport> {
 
     let elapsed = start.elapsed();
     drop(idle);
+    for samples in &mut latency {
+        samples.sort_unstable();
+    }
+    let mut all = latency.concat();
+    all.sort_unstable();
     Ok(LoadgenReport {
         sent,
         completed,
         errors,
         elapsed,
         achieved_rps: completed as f64 / elapsed.as_secs_f64().max(1e-9),
-        p50_us: latency.quantile(0.50),
-        p99_us: latency.quantile(0.99),
-        p999_us: latency.quantile(0.999),
-        max_us: latency.max(),
-        mean_us: latency.mean(),
+        p50_us: quantile(&all, 0.50),
+        p99_us: quantile(&all, 0.99),
+        p999_us: quantile(&all, 0.999),
+        max_us: all.last().copied().unwrap_or(0),
+        mean_us: all.iter().sum::<u64>() / (all.len() as u64).max(1),
         commands: commands
             .iter()
-            .zip(&per_command)
-            .map(|(command, h)| CommandLatency {
+            .zip(&latency)
+            .map(|(command, samples)| CommandLatency {
                 command: command.clone(),
-                count: h.count(),
-                p50_us: h.quantile(0.50),
-                p99_us: h.quantile(0.99),
+                count: samples.len() as u64,
+                p50_us: quantile(samples, 0.50),
+                p99_us: quantile(samples, 0.99),
             })
             .collect(),
     })
+}
+
+/// The nearest-rank `q`-quantile of `sorted` (ascending): the smallest
+/// sample with at least a `q` share of the samples at or below it; 0 when
+/// there are none.
+fn quantile(sorted: &[u64], q: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 fn flush_conn(conn: &mut ClientConn, poller: &mut Poller) -> io::Result<()> {
@@ -347,8 +360,7 @@ fn flush_conn(conn: &mut ClientConn, poller: &mut Poller) -> io::Result<()> {
 
 fn read_conn(
     conn: &mut ClientConn,
-    latency: &Histogram,
-    per_command: &[Histogram],
+    latency: &mut [Vec<u64>],
     completed: &mut u64,
     errors: &mut u64,
     poller: &mut Poller,
@@ -362,7 +374,7 @@ fn read_conn(
             }
             Ok(n) => {
                 conn.inbuf.extend_from_slice(&buf[..n]);
-                drain_responses(conn, latency, per_command, completed, errors);
+                drain_responses(conn, latency, completed, errors);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -380,8 +392,7 @@ fn read_conn(
 /// `SERVER_BUSY` line.
 fn drain_responses(
     conn: &mut ClientConn,
-    latency: &Histogram,
-    per_command: &[Histogram],
+    latency: &mut [Vec<u64>],
     completed: &mut u64,
     errors: &mut u64,
 ) {
@@ -398,19 +409,19 @@ fn drain_responses(
                         .and_then(|s| s.trim().parse().ok())
                         .unwrap_or(0);
                     if n == 0 {
-                        finish(conn, latency, per_command, completed, true);
+                        finish(conn, latency, completed, true);
                     } else {
                         conn.parse = Parse::Body(n);
                     }
                 } else {
                     // ERR, SERVER_BUSY, or anything unexpected.
-                    finish(conn, latency, per_command, errors, false);
+                    finish(conn, latency, errors, false);
                 }
             }
             Parse::Body(left) => {
                 if left <= 1 {
                     conn.parse = Parse::Header;
-                    finish(conn, latency, per_command, completed, true);
+                    finish(conn, latency, completed, true);
                 } else {
                     conn.parse = Parse::Body(left - 1);
                 }
@@ -420,23 +431,14 @@ fn drain_responses(
     conn.inbuf.drain(..consumed);
 }
 
-fn finish(
-    conn: &mut ClientConn,
-    histogram: &Histogram,
-    per_command: &[Histogram],
-    counter: &mut u64,
-    record: bool,
-) {
+fn finish(conn: &mut ClientConn, latency: &mut [Vec<u64>], counter: &mut u64, record: bool) {
     if let Some((scheduled, cmd)) = conn.in_flight.pop_front() {
         if record {
             let micros = Instant::now()
                 .saturating_duration_since(scheduled)
                 .as_micros()
                 .min(u128::from(u64::MAX)) as u64;
-            histogram.record(micros);
-            if let Some(h) = per_command.get(cmd) {
-                h.record(micros);
-            }
+            latency[cmd].push(micros);
         }
         *counter += 1;
     }
@@ -477,23 +479,38 @@ mod tests {
             parse: Parse::Header,
             dead: false,
         };
-        let latency = Histogram::new();
-        let per_command = [Histogram::new(), Histogram::new()];
+        let mut latency = vec![Vec::new(), Vec::new()];
         let (mut completed, mut errors) = (0u64, 0u64);
         // Split across two feeds mid-line to exercise the incremental path.
         let bytes = b"OK 2\nline a\nline b\nERR nope\nSERVER_BUSY\nOK 0\n";
         conn.inbuf.extend_from_slice(&bytes[..9]);
-        drain_responses(&mut conn, &latency, &per_command, &mut completed, &mut errors);
+        drain_responses(&mut conn, &mut latency, &mut completed, &mut errors);
         conn.inbuf.extend_from_slice(&bytes[9..]);
-        drain_responses(&mut conn, &latency, &per_command, &mut completed, &mut errors);
+        drain_responses(&mut conn, &mut latency, &mut completed, &mut errors);
         assert_eq!((completed, errors), (2, 2));
-        assert_eq!(latency.count(), 2);
         // The two OK completions were commands 0 and 1; the ERR/BUSY pair
         // (commands 1 and 0) is counted but not recorded.
-        assert_eq!(per_command[0].count(), 1);
-        assert_eq!(per_command[1].count(), 1);
+        assert_eq!(latency[0].len(), 1);
+        assert_eq!(latency[1].len(), 1);
         assert!(conn.inbuf.is_empty());
         assert!(conn.in_flight.is_empty());
+    }
+
+    #[test]
+    fn quantiles_are_exact_nearest_rank_order_statistics() {
+        // 1..=1000 µs: every percentile is a sample, not a bucket edge
+        // (log2 buckets would report 512 or 1024 for all three).
+        let samples: Vec<u64> = (1..=1000).collect();
+        assert_eq!(quantile(&samples, 0.50), 500);
+        assert_eq!(quantile(&samples, 0.99), 990);
+        assert_eq!(quantile(&samples, 0.999), 999);
+        assert_eq!(quantile(&samples, 1.0), 1000);
+        assert_eq!(quantile(&samples, 0.0), 1);
+        // Few samples: the nearest rank rounds up.
+        assert_eq!(quantile(&[10, 20, 30], 0.50), 20);
+        assert_eq!(quantile(&[10, 20, 30], 0.99), 30);
+        assert_eq!(quantile(&[7], 0.999), 7);
+        assert_eq!(quantile(&[], 0.5), 0);
     }
 
     #[test]

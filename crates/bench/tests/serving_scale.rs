@@ -1,5 +1,5 @@
-//! The PR 8 scale gate, runnable under a modest `RLIMIT_NOFILE` hard cap:
-//! the event-loop front end holds 10 000 idle connections while serving
+//! The scale gate, runnable under a modest `RLIMIT_NOFILE` hard cap: the
+//! server's event-loop reactors hold 10 000 idle connections while serving
 //! real estimate traffic.
 //!
 //! The idle pile lives in a `loadgen` subprocess, so server and client each
@@ -35,14 +35,13 @@ fn evloop_serves_estimates_under_a_10k_idle_pile() {
     }
 
     let server = epfis_server::serve(epfis_server::ServerConfig {
-        frontend: epfis_server::Frontend::Evloop,
         limits: epfis_server::LimitsConfig {
             max_connections: 20_000,
             ..epfis_server::LimitsConfig::default()
         },
         ..epfis_server::ServerConfig::default()
     })
-    .expect("bind evloop server");
+    .expect("bind server");
     let addr = server.addr();
 
     let child = Command::new(env!("CARGO_BIN_EXE_loadgen"))

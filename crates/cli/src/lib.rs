@@ -125,7 +125,6 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
             (the paper's Section 5 experiment on a captured trace: random
              partial scans, aggregate error per algorithm per buffer size)
   serve     [--addr HOST:PORT] [--catalog F] [--workers N] [--segments M]
-            [--frontend pool|evloop]
             [--max-line-bytes B] [--max-pending-bytes B] [--idle-timeout-ms T]
             [--max-connections N] [--max-session-refs R]
             [--metrics-addr HOST:PORT] [--log-level L] [--log-format human|json]
@@ -133,11 +132,11 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
             [--wal-segment-bytes B] [--wal-checkpoint-refs R]
             [--drift-threshold T] [--slow-request-us U]
             (long-running estimation service; prints `listening on ADDR`,
-             stops on the SHUTDOWN protocol command; --frontend picks the
-             serving core: `pool` (default) runs a worker thread per active
-             connection, `evloop` serves every connection from one
-             readiness-driven thread and scales to tens of thousands of
-             idle connections — see docs/serving.md; the limit flags bound
+             stops on the SHUTDOWN protocol command; --workers sets the
+             number of event-loop threads serving connections (default:
+             one per CPU), each connection going to the one with the
+             fewest, so tens of thousands of idle connections cost no
+             threads — see docs/serving.md; the limit flags bound
              what one client can cost the server — see docs/protocol.md,
              \"Limits & backpressure\". --metrics-addr adds an HTTP endpoint
              serving /metrics, /healthz, and /events and prints `metrics on
@@ -261,12 +260,51 @@ pub fn is_known_command(name: &str) -> bool {
     )
 }
 
+/// The flags `command` accepts: every `--flag` named in its [`USAGE`]
+/// entry, which starts at a two-space indent and continues on the
+/// deeper-indented lines below it.
+fn usage_flags(command: &str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    let mut inside = false;
+    for line in USAGE.lines().skip(1) {
+        match line.strip_prefix("  ") {
+            Some(rest) if !rest.starts_with(' ') => {
+                inside = rest.split_whitespace().next() == Some(command);
+            }
+            Some(_) => {}
+            None => inside = false,
+        }
+        if inside {
+            for (at, _) in line.match_indices("--") {
+                let flag = &line[at + 2..];
+                let end = flag
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(flag.len());
+                flags.push(&flag[..end]);
+            }
+        }
+    }
+    flags
+}
+
 /// Validates flags that the contract treats as usage errors (exit 2 with
 /// the usage text) rather than runtime failures — checks that need no work
-/// to be done first. Today that is `serve`'s `--wal-*` family: a bad fsync
-/// policy, a zero segment size or checkpoint interval, or a `--wal-dir`
-/// that cannot be a directory must be rejected before the listener binds.
+/// to be done first: a flag the subcommand's usage entry does not name
+/// (a typo such as `--wal-dri` must not be silently ignored), and `serve`'s
+/// `--wal-*` family — a bad fsync policy, a zero segment size or checkpoint
+/// interval, or a `--wal-dir` that cannot be a directory must be rejected
+/// before the listener binds.
 pub fn validate_usage(cmd: &Command) -> Result<(), CliError> {
+    let allowed = usage_flags(&cmd.name);
+    let mut unknown: Vec<&String> = cmd
+        .options
+        .keys()
+        .filter(|k| !allowed.contains(&k.as_str()))
+        .collect();
+    unknown.sort();
+    if let Some(flag) = unknown.first() {
+        return Err(err(format!("unknown flag --{flag} for {}", cmd.name)));
+    }
     if cmd.name == "serve" {
         serve_wal_config(cmd)?;
     }
@@ -706,10 +744,6 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
     use std::io::Write as _;
     let addr: String = cmd.get_or("addr", "127.0.0.1:0".to_string())?;
     let workers: usize = cmd.get_or("workers", 0)?;
-    let frontend = match cmd.get::<String>("frontend")? {
-        Some(raw) => epfis_server::Frontend::parse(&raw).map_err(err)?,
-        None => epfis_server::Frontend::default(),
-    };
     let segments: usize = cmd.get_or("segments", 6)?;
     if !(1..=64).contains(&segments) {
         return Err(err("--segments must be in [1, 64]"));
@@ -748,7 +782,6 @@ fn serve(cmd: &Command) -> Result<String, CliError> {
     let config = epfis_server::ServerConfig {
         addr,
         workers,
-        frontend,
         catalog_path: cmd.get::<String>("catalog")?.map(Into::into),
         epfis_config: EpfisConfig::default().with_segments(segments),
         limits,
@@ -1212,6 +1245,49 @@ mod tests {
             .unwrap_err();
             assert!(e.0.contains("does not exist"), "{sub}: {e}");
         }
+    }
+
+    #[test]
+    fn usage_entries_are_the_flag_allowlists() {
+        let sorted = |name: &str| {
+            let mut flags = usage_flags(name);
+            flags.sort();
+            flags.dedup();
+            flags
+        };
+        assert_eq!(
+            sorted("estimate"),
+            ["buffer", "catalog", "name", "sargable", "sigma"]
+        );
+        assert_eq!(
+            sorted("client"),
+            ["addr", "binary", "retries", "send", "timeout-ms"]
+        );
+        let serve = sorted("serve");
+        for flag in [
+            "addr",
+            "catalog",
+            "workers",
+            "segments",
+            "max-connections",
+            "idle-timeout-ms",
+            "wal-dir",
+            "wal-checkpoint-refs",
+            "log-file",
+            "drift-threshold",
+            "slow-request-us",
+        ] {
+            assert!(serve.contains(&flag), "{flag} missing from {serve:?}");
+        }
+        assert!(!serve.contains(&"frontend"), "{serve:?}");
+        assert!(sorted("help").is_empty());
+
+        validate_usage(&cmd("serve --wal-dir /tmp/epfis-usage-wal --workers 2")).unwrap();
+        let e = validate_usage(&cmd("serve --wal-dri /tmp/x")).unwrap_err();
+        assert_eq!(e.0, "unknown flag --wal-dri for serve");
+        // A flag of another subcommand is just as unknown.
+        let e = validate_usage(&cmd("show --catalog c --sigma 0.5")).unwrap_err();
+        assert_eq!(e.0, "unknown flag --sigma for show");
     }
 
     #[test]

@@ -82,12 +82,22 @@ fn explain_runtime_errors_mirror_estimate() {
         String::from_utf8_lossy(&out.stderr).contains("unknown log level"),
         "{out:?}"
     );
+}
 
-    // So is a bad serving front end.
-    let out = epfis(&["serve", "--addr", "127.0.0.1:0", "--frontend", "fibers"]);
-    assert_runtime_error(&out, "bad frontend");
+#[test]
+fn unknown_flags_are_usage_errors_that_name_the_flag() {
+    // A misspelt --wal-dir must not serve without a WAL.
+    let out = epfis(&["serve", "--addr", "127.0.0.1:0", "--wal-dri", "/tmp/x"]);
+    assert_usage_error(&out, "misspelt --wal-dir");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --wal-dri"), "{stderr}");
+    assert!(stderr.contains("usage"), "{stderr}");
+
+    // The serving core is no longer selectable.
+    let out = epfis(&["serve", "--addr", "127.0.0.1:0", "--frontend", "pool"]);
+    assert_usage_error(&out, "removed --frontend");
     assert!(
-        String::from_utf8_lossy(&out.stderr).contains("invalid frontend"),
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag --frontend"),
         "{out:?}"
     );
 }

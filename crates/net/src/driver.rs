@@ -1,31 +1,37 @@
 //! A single-threaded, readiness-driven connection driver.
 //!
-//! [`Driver::run`] multiplexes one nonblocking listener plus any number of
-//! nonblocking TCP connections over a [`Poller`]. All protocol behavior
-//! lives in the caller's [`Session`] state machine (bytes in → response
-//! bytes out); the driver owns only transport mechanics:
+//! [`Driver::run`] multiplexes any number of nonblocking TCP connections
+//! over a [`Poller`]. Connections arrive through an [`Inbox`] that another
+//! thread (typically a blocking accept loop) fills; several drivers, each on
+//! its own thread with its own inbox, share one listener that way. All
+//! protocol behavior lives in the caller's [`Session`] state machine (bytes
+//! in → response bytes out); the driver owns only transport mechanics:
 //!
-//! * **accept** — drained to `EWOULDBLOCK` each time the listener fires;
-//!   every accepted socket is offered to the [`SessionFactory`], which may
-//!   decline it (admission shed) by consuming the stream.
-//! * **read** — drained to `EWOULDBLOCK`, with `EINTR` retried, feeding
-//!   [`Session::on_bytes`]. Reading *stops* while a connection's unflushed
-//!   output backlog exceeds the backpressure watermark, so a peer that
+//! * **hand-off** — [`Inbox::push`] queues a stream and writes one byte to a
+//!   socket pair whose read end the driver polls; the driver then takes the
+//!   whole queue and asks the [`SessionFactory`] for a session per stream.
+//! * **read** — until a short read, `EWOULDBLOCK` or the backpressure
+//!   watermark, with `EINTR` retried, feeding [`Session::on_bytes`]. The
+//!   poller is level-triggered, so a short read needs no confirming
+//!   `EWOULDBLOCK` read: unread bytes report readiness again. Reading *stops*
+//!   while a connection's unflushed output backlog exceeds the watermark,
+//!   and the connection then waits only for writability, so a peer that
 //!   pipelines requests without reading responses stalls only itself.
 //! * **write** — nonblocking with partial-write accounting; when the socket
 //!   would block, write interest is registered and the backlog kept. A
 //!   session that closed is removed the moment its backlog drains, or at a
-//!   bounded grace deadline if the peer never drains it — the event-loop
-//!   equivalent of the pool front end's write deadline.
+//!   bounded grace deadline if the peer never drains it.
 //! * **tick** — [`Session::on_tick`] fires on every slot at a fixed cadence
-//!   for idle-deadline enforcement.
+//!   for idle and write-stall deadlines.
 //!
 //! The driver never blocks on any one peer; a non-reading client costs one
 //! slot and (bounded) buffer, not a thread.
 
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::io::ReadStep;
@@ -62,25 +68,25 @@ pub trait Session {
         Control::Continue
     }
 
-    /// `n` bytes were actually written to the socket (for byte accounting).
-    fn on_wrote(&mut self, n: usize) {
-        let _ = n;
+    /// One flush wrote `n > 0` bytes to the socket in `elapsed` (for byte
+    /// accounting and flush timing). Any progress counts: a flush that
+    /// ends blocked reports what it managed to write.
+    fn on_flushed(&mut self, n: usize, elapsed: Duration) {
+        let _ = (n, elapsed);
     }
 }
 
-/// Creates sessions for accepted connections and owns admission policy.
+/// Creates sessions for handed-over connections and sees them end.
 pub trait SessionFactory {
     type Session: Session;
 
-    /// Offer an accepted connection. Return `None` to decline it (the
-    /// factory consumes the stream, so it can write a shed notice before
-    /// dropping); return the stream back with a session to serve it.
-    /// The stream is still in blocking mode here; the driver switches it to
-    /// nonblocking after admission.
-    fn admit(&mut self, stream: TcpStream, peer: SocketAddr) -> Option<(TcpStream, Self::Session)>;
+    /// A connection arrived through the inbox; create its session. The
+    /// stream is still in blocking mode here; the driver switches it to
+    /// nonblocking afterwards.
+    fn open(&mut self, stream: &TcpStream) -> Self::Session;
 
     /// A connection ended (any cause). Always called exactly once per
-    /// admitted session.
+    /// opened session.
     fn closed(&mut self, session: Self::Session);
 
     /// Checked every loop iteration; `true` stops the driver after a final
@@ -96,7 +102,7 @@ pub struct DriverConfig {
     pub tick: Duration,
     /// Size of the shared read buffer (one `read(2)` max).
     pub read_chunk: usize,
-    /// Stop reading from a connection while its unflushed output exceeds
+    /// Stop reading from a connection while its unflushed output reaches
     /// this many bytes.
     pub write_backlog_watermark: usize,
     /// How long a closing connection may take to drain its final bytes
@@ -121,8 +127,9 @@ impl Default for DriverConfig {
 struct Slot<S> {
     stream: TcpStream,
     session: S,
+    /// Response bytes not yet written (every flush drops the written
+    /// prefix).
     out: Vec<u8>,
-    written: usize,
     interest: Interest,
     closing: bool,
     close_deadline: Option<Instant>,
@@ -134,12 +141,64 @@ enum FlushStep {
     Failed,
 }
 
-const LISTENER_TOKEN: Token = Token(0);
+/// Connections waiting for one [`Driver`], pushed from any thread.
+///
+/// A `Mutex<Vec<TcpStream>>` plus a socket pair: [`Inbox::push`] appends
+/// under the lock and writes a byte to one end; the driver polls the other
+/// end, drains the bytes, and takes the queue. The lock guards one `push`
+/// or one `take` at a time, each leaving the queue valid, so a poisoned
+/// lock is recovered rather than propagated.
+pub struct Inbox {
+    queue: Mutex<Vec<TcpStream>>,
+    wake_tx: UnixStream,
+    wake_rx: UnixStream,
+}
+
+impl Inbox {
+    /// An empty inbox with its wake-up socket pair.
+    pub fn new() -> io::Result<Inbox> {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        Ok(Inbox {
+            queue: Mutex::new(Vec::new()),
+            wake_tx,
+            wake_rx,
+        })
+    }
+
+    /// Queues `stream` for the driver and wakes it.
+    pub fn push(&self, stream: TcpStream) {
+        self.queue
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(stream);
+        self.wake();
+    }
+
+    /// Wakes the driver without handing it anything, so it rechecks
+    /// [`SessionFactory::should_stop`] now rather than at its next tick.
+    pub fn wake(&self) {
+        // A full pipe means a wake-up is already pending.
+        let _ = (&self.wake_tx).write(&[1]);
+    }
+
+    /// Drains the wake-up bytes, then takes the queue. Draining first means
+    /// a push racing with this call is either taken now or wakes the
+    /// driver again.
+    fn take(&self) -> Vec<TcpStream> {
+        let mut sink = [0u8; 64];
+        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+        std::mem::take(&mut *self.queue.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+}
+
+const INBOX_TOKEN: Token = Token(0);
 
 /// The event loop. See the module docs for the contract.
 pub struct Driver<F: SessionFactory> {
     poller: Poller,
-    listener: TcpListener,
+    inbox: Arc<Inbox>,
     factory: F,
     config: DriverConfig,
     slots: Vec<Option<Slot<F::Session>>>,
@@ -148,19 +207,20 @@ pub struct Driver<F: SessionFactory> {
 }
 
 impl<F: SessionFactory> Driver<F> {
-    /// Run the loop until [`SessionFactory::should_stop`] reports true.
-    /// Consumes the listener; returns the factory for final accounting.
-    pub fn run(listener: TcpListener, factory: F, config: DriverConfig) -> io::Result<F> {
-        listener.set_nonblocking(true)?;
+    /// Run the loop over the connections pushed into `inbox` until
+    /// [`SessionFactory::should_stop`] reports true. Connections still
+    /// queued then are dropped unserved. Returns the factory for final
+    /// accounting.
+    pub fn run(inbox: Arc<Inbox>, factory: F, config: DriverConfig) -> io::Result<F> {
         let mut poller = if config.force_poll_backend {
             Poller::with_poll_backend()?
         } else {
             Poller::new()?
         };
-        poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READABLE)?;
+        poller.register(inbox.wake_rx.as_raw_fd(), INBOX_TOKEN, Interest::READABLE)?;
         let mut driver = Driver {
             poller,
-            listener,
+            inbox,
             factory,
             config,
             slots: Vec::new(),
@@ -185,8 +245,10 @@ impl<F: SessionFactory> Driver<F> {
             // the dispatch below; taking it avoids aliasing `self`.
             let batch = std::mem::take(&mut events);
             for ev in &batch {
-                if ev.token == LISTENER_TOKEN {
-                    self.accept_ready();
+                if ev.token == INBOX_TOKEN {
+                    for stream in self.inbox.take() {
+                        self.open(stream);
+                    }
                 } else {
                     let idx = ev.token.0 - 1;
                     if self.slots.get(idx).is_some_and(Option::is_some) {
@@ -208,48 +270,31 @@ impl<F: SessionFactory> Driver<F> {
         }
     }
 
-    fn accept_ready(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, peer)) => {
-                    let Some((stream, session)) = self.factory.admit(stream, peer) else {
-                        continue;
-                    };
-                    if stream.set_nonblocking(true).is_err() {
-                        self.factory.closed(session);
-                        continue;
-                    }
-                    let idx = self.free.pop().unwrap_or_else(|| {
-                        self.slots.push(None);
-                        self.slots.len() - 1
-                    });
-                    let interest = Interest::READABLE;
-                    if self
-                        .poller
-                        .register(stream.as_raw_fd(), Token(idx + 1), interest)
-                        .is_err()
-                    {
-                        self.free.push(idx);
-                        self.factory.closed(session);
-                        continue;
-                    }
-                    self.slots[idx] = Some(Slot {
-                        stream,
-                        session,
-                        out: Vec::new(),
-                        written: 0,
-                        interest,
-                        closing: false,
-                        close_deadline: None,
-                    });
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                // Transient accept errors (ECONNABORTED, EMFILE, ...) —
-                // drop this readiness edge; the listener stays registered.
-                Err(_) => return,
-            }
+    fn open(&mut self, stream: TcpStream) {
+        let session = self.factory.open(&stream);
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        let interest = Interest::READABLE;
+        if stream.set_nonblocking(true).is_err()
+            || self
+                .poller
+                .register(stream.as_raw_fd(), Token(idx + 1), interest)
+                .is_err()
+        {
+            self.free.push(idx);
+            self.factory.closed(session);
+            return;
         }
+        self.slots[idx] = Some(Slot {
+            stream,
+            session,
+            out: Vec::new(),
+            interest,
+            closing: false,
+            close_deadline: None,
+        });
     }
 
     fn handle_readable(&mut self, idx: usize) {
@@ -258,7 +303,7 @@ impl<F: SessionFactory> Driver<F> {
             if slot.closing {
                 break;
             }
-            if slot.out.len() - slot.written >= self.config.write_backlog_watermark {
+            if slot.out.len() >= self.config.write_backlog_watermark {
                 // Backpressure: don't read more until the backlog drains.
                 break;
             }
@@ -266,6 +311,10 @@ impl<F: SessionFactory> Driver<F> {
                 ReadStep::Data(n) => {
                     if slot.session.on_bytes(&self.read_buf[..n], &mut slot.out) == Control::Close {
                         self.begin_close(idx);
+                        break;
+                    }
+                    if n < self.read_buf.len() {
+                        // Short read: the socket is drained for now.
                         break;
                     }
                 }
@@ -294,7 +343,15 @@ impl<F: SessionFactory> Driver<F> {
                     return;
                 }
                 FlushStep::Blocked => {
-                    self.set_interest(idx, Interest::BOTH);
+                    // Past the watermark nothing is read until the backlog
+                    // drains, so only writability is worth a wake-up.
+                    let slot = self.slots[idx].as_ref().expect("live slot");
+                    let interest = if slot.out.len() >= self.config.write_backlog_watermark {
+                        Interest::WRITABLE
+                    } else {
+                        Interest::BOTH
+                    };
+                    self.set_interest(idx, interest);
                     return;
                 }
                 FlushStep::Drained => {
@@ -303,7 +360,7 @@ impl<F: SessionFactory> Driver<F> {
                         self.remove(idx);
                         return;
                     }
-                    if slot.interest.writable {
+                    if slot.interest != Interest::READABLE {
                         self.set_interest(idx, Interest::READABLE);
                     }
                     let slot = self.slots[idx].as_mut().expect("live slot");
@@ -329,28 +386,28 @@ impl<F: SessionFactory> Driver<F> {
 
     fn try_flush(&mut self, idx: usize) -> FlushStep {
         let slot = self.slots[idx].as_mut().expect("live slot");
-        while slot.written < slot.out.len() {
-            match slot.stream.write(&slot.out[slot.written..]) {
-                Ok(0) => return FlushStep::Failed,
-                Ok(n) => {
-                    slot.written += n;
-                    slot.session.on_wrote(n);
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                    // Compact so the backlog is bounded by unsent bytes.
-                    if slot.written > 0 {
-                        slot.out.drain(..slot.written);
-                        slot.written = 0;
-                    }
-                    return FlushStep::Blocked;
-                }
-                Err(_) => return FlushStep::Failed,
-            }
+        if slot.out.is_empty() {
+            return FlushStep::Drained;
         }
-        slot.out.clear();
-        slot.written = 0;
-        FlushStep::Drained
+        let start = Instant::now();
+        let mut written = 0;
+        let step = loop {
+            if written == slot.out.len() {
+                break FlushStep::Drained;
+            }
+            match slot.stream.write(&slot.out[written..]) {
+                Ok(0) => break FlushStep::Failed,
+                Ok(n) => written += n,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break FlushStep::Blocked,
+                Err(_) => break FlushStep::Failed,
+            }
+        };
+        if written > 0 {
+            slot.session.on_flushed(written, start.elapsed());
+        }
+        slot.out.drain(..written);
+        step
     }
 
     fn begin_close(&mut self, idx: usize) {
@@ -415,9 +472,8 @@ impl<F: SessionFactory> Driver<F> {
 mod tests {
     use super::*;
     use std::io::{BufRead, BufReader, Write as IoWrite};
+    use std::net::TcpListener;
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::Arc;
-    use std::time::Duration;
 
     /// Line-echo session: `QUIT` asks for a close, anything else echoes.
     struct Echo {
@@ -442,20 +498,15 @@ mod tests {
 
     struct EchoFactory {
         stop: Arc<AtomicBool>,
-        open: Arc<AtomicUsize>,
         closed: Arc<AtomicUsize>,
     }
 
     impl SessionFactory for EchoFactory {
         type Session = Echo;
-        fn admit(&mut self, stream: TcpStream, _peer: SocketAddr) -> Option<(TcpStream, Echo)> {
-            self.open.fetch_add(1, Ordering::SeqCst);
-            Some((
-                stream,
-                Echo {
-                    pending: Vec::new(),
-                },
-            ))
+        fn open(&mut self, _stream: &TcpStream) -> Echo {
+            Echo {
+                pending: Vec::new(),
+            }
         }
         fn closed(&mut self, _session: Echo) {
             self.closed.fetch_add(1, Ordering::SeqCst);
@@ -465,39 +516,67 @@ mod tests {
         }
     }
 
-    fn start_echo(
-        force_poll: bool,
-    ) -> (
-        SocketAddr,
-        Arc<AtomicBool>,
-        Arc<AtomicUsize>,
-        std::thread::JoinHandle<()>,
-    ) {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let stop = Arc::new(AtomicBool::new(false));
-        let closed = Arc::new(AtomicUsize::new(0));
-        let factory = EchoFactory {
-            stop: Arc::clone(&stop),
-            open: Arc::new(AtomicUsize::new(0)),
-            closed: Arc::clone(&closed),
-        };
-        let config = DriverConfig {
-            tick: Duration::from_millis(10),
-            force_poll_backend: force_poll,
-            ..DriverConfig::default()
-        };
-        let handle = std::thread::spawn(move || {
-            Driver::run(listener, factory, config).expect("driver");
-        });
-        (addr, stop, closed, handle)
+    /// A running echo driver; the test accepts connections itself and
+    /// hands them over through the inbox.
+    struct EchoServer {
+        listener: TcpListener,
+        inbox: Arc<Inbox>,
+        stop: Arc<AtomicBool>,
+        closed: Arc<AtomicUsize>,
+        driver: std::thread::JoinHandle<()>,
+    }
+
+    impl EchoServer {
+        fn start(force_poll: bool) -> EchoServer {
+            let inbox = Arc::new(Inbox::new().expect("inbox"));
+            let stop = Arc::new(AtomicBool::new(false));
+            let closed = Arc::new(AtomicUsize::new(0));
+            let factory = EchoFactory {
+                stop: Arc::clone(&stop),
+                closed: Arc::clone(&closed),
+            };
+            let config = DriverConfig {
+                tick: Duration::from_millis(10),
+                force_poll_backend: force_poll,
+                ..DriverConfig::default()
+            };
+            let driver_inbox = Arc::clone(&inbox);
+            let driver = std::thread::spawn(move || {
+                Driver::run(driver_inbox, factory, config).expect("driver");
+            });
+            EchoServer {
+                listener: TcpListener::bind("127.0.0.1:0").expect("bind"),
+                inbox,
+                stop,
+                closed,
+                driver,
+            }
+        }
+
+        /// Connects a client and pushes the server end into the inbox.
+        fn connect(&self) -> TcpStream {
+            let addr = self.listener.local_addr().expect("addr");
+            let client = TcpStream::connect(addr).expect("connect");
+            let (server_end, _) = self.listener.accept().expect("accept");
+            self.inbox.push(server_end);
+            client
+        }
+
+        /// Stops the driver (the wake-up reaches it at once) and returns
+        /// how many sessions it reported closed.
+        fn stop(self) -> usize {
+            self.stop.store(true, Ordering::SeqCst);
+            self.inbox.wake();
+            self.driver.join().expect("driver thread");
+            self.closed.load(Ordering::SeqCst)
+        }
     }
 
     fn echo_roundtrip(force_poll: bool) {
-        let (addr, stop, closed, handle) = start_echo(force_poll);
+        let server = EchoServer::start(force_poll);
         let mut conns = Vec::new();
         for i in 0..8 {
-            let stream = TcpStream::connect(addr).expect("connect");
+            let stream = server.connect();
             let mut reader = BufReader::new(stream.try_clone().expect("clone"));
             let mut stream = stream;
             writeln!(stream, "hello {i}").expect("write");
@@ -514,15 +593,7 @@ mod tests {
         assert_eq!(line, "bye\n");
         assert_eq!(r0.read_line(&mut line).expect("eof"), 0, "closed after bye");
 
-        stop.store(true, Ordering::SeqCst);
-        // Wake the loop: the tick cadence also notices, but a connect is
-        // immediate.
-        let _ = TcpStream::connect(addr);
-        handle.join().expect("driver thread");
-        assert!(
-            closed.load(Ordering::SeqCst) >= 8,
-            "all sessions reported closed"
-        );
+        assert!(server.stop() >= 8, "all sessions reported closed");
     }
 
     #[test]
@@ -540,8 +611,8 @@ mod tests {
     /// grace deadline once its session asks to close.
     #[test]
     fn non_reading_peer_does_not_block_others() {
-        let (addr, stop, _closed, handle) = start_echo(false);
-        let mut staller = TcpStream::connect(addr).expect("connect");
+        let server = EchoServer::start(false);
+        let mut staller = server.connect();
         // Push enough request bytes that the echoed responses overflow the
         // socket buffers of a peer that never reads.
         staller.set_nonblocking(true).expect("nonblocking");
@@ -562,7 +633,7 @@ mod tests {
         }
         // While the staller's backlog sits unflushed, a well-behaved client
         // must be served promptly.
-        let well_behaved = TcpStream::connect(addr).expect("connect");
+        let well_behaved = server.connect();
         well_behaved
             .set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
@@ -572,9 +643,6 @@ mod tests {
         let mut line = String::new();
         reader.read_line(&mut line).expect("read");
         assert_eq!(line, "echo ping\n");
-
-        stop.store(true, Ordering::SeqCst);
-        let _ = TcpStream::connect(addr);
-        handle.join().expect("driver thread");
+        server.stop();
     }
 }

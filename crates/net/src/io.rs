@@ -1,15 +1,15 @@
 //! Shared classification of socket I/O results.
 //!
-//! Every front end used to pattern-match `io::Error` ad hoc, and two of the
+//! Serving loops used to pattern-match `io::Error` ad hoc, and two of the
 //! matches were wrong in the same way: `Err(_)` arms treated **any** error —
 //! including `EINTR`, which merely means "a signal arrived while the syscall
 //! was parked" — as the peer hanging up. [`ReadStep::classify`] is the one
 //! shared truth table, and [`read_step`] applies it to a `Read`.
 //!
 //! A subtlety worth recording: on Linux, a `read(2)`/`recv(2)` on a socket
-//! with a receive timeout (`SO_RCVTIMEO`, which the blocking front end sets
-//! for its poll interval) is *never* automatically restarted after a signal,
-//! even when the handler was installed with `SA_RESTART` — see signal(7).
+//! with a receive timeout (`SO_RCVTIMEO`, which the obs HTTP server sets) is
+//! *never* automatically restarted after a signal, even when the handler
+//! was installed with `SA_RESTART` — see signal(7).
 //! So any process that both serves sockets and receives signals (SIGCHLD
 //! from a spawned subprocess is enough) will eventually observe a genuine
 //! `EINTR` on a healthy connection. The regression tests below provoke one

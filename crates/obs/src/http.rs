@@ -69,7 +69,7 @@ impl HttpServer {
                         break;
                     }
                     if let Ok(stream) = stream {
-                        handle_connection(stream, handler.as_ref());
+                        serve_one(stream, handler.as_ref());
                     }
                 }
             })?;
@@ -105,7 +105,8 @@ impl Drop for HttpServer {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, handler: &Handler) {
+/// Answers the one request `stream` carries, then lets it close.
+fn serve_one(mut stream: TcpStream, handler: &Handler) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let buf = read_request_head(&mut stream);

@@ -280,9 +280,9 @@ fn read_binary_error(stream: &mut TcpStream, timeout: Duration) -> (Option<Strin
 /// Pipelines `copies` repetitions of `request` (newline appended) and then
 /// **stops reading entirely** — the peer that provokes enough response
 /// bytes to fill every buffer between server and client and walks away.
-/// Before PR 8 this pinned a serving worker forever inside a blocking
-/// `write_all`; a hardened server abandons the flush at its write deadline
-/// and reclaims the worker (counted under `sessions_disconnected`).
+/// A server that answers with a blocking `write_all` is pinned here
+/// forever; a hardened server abandons the flush at its write deadline and
+/// reclaims the connection (counted under `sessions_disconnected`).
 ///
 /// Detection is by write probe: the server's close, with response bytes
 /// still unread in our receive queue, resets the connection, which turns

@@ -6,9 +6,12 @@
 //! **Est-IO** runs at every query compilation and must be cheap. This crate
 //! turns that split into a long-running TCP service:
 //!
-//! * [`serve`] binds a listener and a worker pool; each connection speaks a
-//!   line protocol ([`protocol`]) with commands mirroring the `epfis` CLI —
-//!   `ESTIMATE`, `FPF`, `COMPARE`, `SHOW`, `STATS`.
+//! * [`serve`] binds a listener, an accept thread and `--workers N`
+//!   event-loop reactors (`epfis-net`); the accept thread hands each
+//!   connection to the reactor with the fewest live connections. Each
+//!   connection speaks a line protocol ([`protocol`]) with commands
+//!   mirroring the `epfis` CLI — `ESTIMATE`, `FPF`, `COMPARE`, `SHOW`,
+//!   `STATS`.
 //! * `ANALYZE BEGIN … PAGE … ANALYZE COMMIT` streams a statistics scan into
 //!   a per-connection [`IngestSession`] (incremental Mattson stack analysis,
 //!   bounded memory); the commit fits segments and atomically publishes a
@@ -31,9 +34,9 @@
 //!   violations, ANALYZE sessions, and catalog commit spans.
 //! * [`LimitsConfig`] bounds what any single peer can cost the server:
 //!   request-line and pending-buffer bytes, an idle deadline that also
-//!   defeats slow-loris writers, an admission cap that sheds excess
-//!   connections with `SERVER_BUSY` instead of queueing them forever, and
-//!   a per-session reference cap. [`hostile`] packages the corresponding
+//!   defeats slow-loris writers, a write deadline for peers that stop
+//!   reading, an admission cap that sheds excess connections with
+//!   `SERVER_BUSY`, and a per-session reference cap. [`hostile`] packages the corresponding
 //!   misbehaving clients for fault-injection tests.
 //!
 //! * With [`ServerConfig::wal`], `ANALYZE` sessions are write-ahead logged
@@ -78,6 +81,6 @@ pub use ingest::{IngestSession, SessionCheckpoint};
 pub use metrics::{CommandStats, Metrics, Protocol};
 pub use protocol::{frame_busy, frame_err, frame_ok, parse_page_into, parse_request, Request};
 pub use retry::{ResilientClient, RetryPolicy};
-pub use server::{serve, Frontend, LimitsConfig, ServerConfig, ServerHandle};
+pub use server::{serve, LimitsConfig, ServerConfig, ServerHandle};
 pub use slowlog::{Phases, SlowEntry, SlowLog};
 pub use wal::{FsyncPolicy, ServerWal, WalConfig, WalRecord};

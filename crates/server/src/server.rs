@@ -1,72 +1,63 @@
-//! The TCP service: listener, front ends, request execution.
+//! The TCP service: listener, reactors, request execution.
 //!
 //! The paper's split — LRU-Fit once at statistics-collection time, Est-IO
 //! at every query compilation — maps onto a background ingestion path and a
-//! hot serving path. This module wires both onto one listener, behind a
-//! choice of two front ends ([`Frontend`]) sharing one protocol engine
-//! ([`crate::session::Conn`]):
+//! hot serving path. This module wires both onto one listener:
 //!
-//! * **pool** (the default): a fixed worker pool (sized from `epfis-par`'s
-//!   process-global thread budget unless overridden) pulls accepted
-//!   connections off a channel and serves each one with blocking reads and
-//!   deadline-aware partial writes — a peer that stops reading is
-//!   disconnected at the deadline instead of pinning the worker in
-//!   `write_all` forever,
-//! * **evloop**: a single `epfis-net` event-loop thread multiplexes every
-//!   connection with epoll (poll(2) fallback) readiness, so tens of
-//!   thousands of mostly-idle connections cost slots and buffers, not
+//! * an **accept thread** blocks in `accept`, applies admission control
+//!   (`SERVER_BUSY` beyond [`LimitsConfig::max_connections`]) and hands
+//!   each admitted connection to the reactor with the fewest live
+//!   connections;
+//! * **`--workers N` reactors** (default: `epfis-par`'s thread budget) each
+//!   run an `epfis-net` event loop over the connections they own, pushing
+//!   bytes through the protocol engine ([`crate::session::Conn`]), so tens
+//!   of thousands of mostly-idle connections cost slots and buffers, not
 //!   threads.
 //!
-//! Either way, an `ANALYZE BEGIN` opens a per-connection [`IngestSession`];
+//! An `ANALYZE BEGIN` opens a per-connection [`IngestSession`];
 //! `ESTIMATE`/`FPF`/`COMPARE`/`SHOW` run against an `Arc` snapshot of the
 //! shared catalog, so they never block behind a concurrent commit; every
-//! request is timed into [`Metrics`], served back by `STATS`. The
-//! cross-validation tests prove both front ends answer byte-identically on
-//! both wire formats.
+//! request is timed into [`Metrics`], served back by `STATS`. A connection
+//! stays on its reactor for life, so two busy connections placed on one
+//! reactor take turns; the answers never depend on the placement.
 //!
 //! Shutdown is cooperative: the `SHUTDOWN` command (or
-//! [`ServerHandle::shutdown`]) raises a flag, pokes the listener awake, and
-//! the front end drains. Worker reads use a short timeout (and the event
-//! loop a tick of the same length) so idle connections notice the flag
-//! promptly. Process signals (SIGTERM) are *not* caught — std offers no
+//! [`ServerHandle::shutdown`]) raises a flag and pokes the listener awake;
+//! the accept thread then wakes every reactor, and each closes its
+//! connections. Process signals (SIGTERM) are *not* caught — std offers no
 //! portable handler — but every catalog save is atomic, so killing the
 //! process at any instant leaves the last committed version intact on
 //! disk; that is exactly what the CI smoke test asserts.
 
 use crate::accuracy::{AccuracyConfig, AccuracyTracker};
 use crate::catalog::SharedCatalog;
+use crate::evloop::Placement;
 use crate::ingest::IngestSession;
 use crate::metrics::Metrics;
 use crate::protocol::{frame_busy, Request};
-use crate::session::Conn;
 use crate::slowlog::SlowLog;
 use crate::wal::{ServerWal, WalConfig};
 use epfis::{EpfisConfig, ScanQuery};
 use epfis_estimators::{
     DcEstimator, MlEstimator, OtEstimator, PageFetchEstimator, ScanParams, SdEstimator,
 };
-use epfis_net::ReadStep;
+use epfis_net::Inbox;
 use epfis_obs::http::{HttpServer, Response};
 use epfis_obs::{Histogram, Level, Logger, Registry};
 use std::cell::Cell;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// How often an idle connection re-checks the shutdown flag and its idle
-/// deadline.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Slots in the slow-request ring (the newest entries win).
 const SLOWLOG_CAPACITY: usize = 128;
 
 thread_local! {
     /// Per-thread WAL-time accumulator for latency attribution. Requests
-    /// execute serially on whichever thread runs them (a pool worker or the
-    /// event loop), so a thread-local cell attributes WAL wall time to the
+    /// execute serially on the reactor that owns their connection, so a thread-local cell attributes WAL wall time to the
     /// request currently being served with no shared state on the hot path.
     static WAL_TIME_US: Cell<u64> = const { Cell::new(0) };
 }
@@ -89,11 +80,12 @@ pub(crate) fn take_wal_time_us() -> u64 {
 ///
 /// Every limit exists because one misbehaving peer must not be able to
 /// grow server memory or starve other clients: `max_line_bytes` bounds how
-/// much a newline-less flood can buffer, `idle_timeout` reclaims workers
-/// from connections that stop sending complete requests (including
-/// slow-loris writers that trickle bytes but never finish a line),
+/// much a newline-less flood can buffer, `idle_timeout` reclaims
+/// connections that stop sending complete requests (including slow-loris
+/// writers that trickle bytes but never finish a line) and, through
+/// [`LimitsConfig::write_patience`], peers that stop reading responses,
 /// `max_connections` sheds admissions with `SERVER_BUSY` instead of
-/// queueing them behind a saturated worker pool, and `max_session_refs`
+/// letting connection state grow without bound, and `max_session_refs`
 /// caps what a single `ANALYZE` session may accumulate. Violations answer
 /// in the `ERR limit ...` / `SERVER_BUSY` response family and are counted
 /// by [`Metrics::limit_rejections_total`] /
@@ -116,8 +108,8 @@ pub struct LimitsConfig {
     /// *complete* line, so trickling single bytes does not reset it.
     pub idle_timeout: Duration,
     /// Maximum concurrently admitted connections; a fresh connection beyond
-    /// this is answered `SERVER_BUSY` and closed immediately instead of
-    /// queueing forever behind busy workers (default 0 = 4 × workers).
+    /// this is answered `SERVER_BUSY` and closed immediately (default
+    /// 65 536).
     pub max_connections: usize,
     /// Maximum references one `ANALYZE` session may accumulate; a `PAGE`
     /// batch that would exceed it answers `ERR limit session-refs ...` and
@@ -131,7 +123,7 @@ impl Default for LimitsConfig {
             max_line_bytes: 1 << 20,
             max_pending_bytes: 2 << 20,
             idle_timeout: Duration::from_secs(300),
-            max_connections: 0,
+            max_connections: 65_536,
             max_session_refs: 100_000_000,
         }
     }
@@ -147,73 +139,32 @@ impl LimitsConfig {
         if self.max_pending_bytes < self.max_line_bytes {
             return Err("max_pending_bytes must be >= max_line_bytes".into());
         }
+        if self.max_connections == 0 {
+            return Err("max_connections must be at least 1".into());
+        }
         Ok(())
     }
 
-    /// Resolved admission cap: the explicit setting, else four connections
-    /// per worker (so short-lived clients can queue briefly, but a pile-up
-    /// is shed rather than growing without bound).
-    pub fn effective_max_connections(&self, workers: usize) -> usize {
-        if self.max_connections > 0 {
-            self.max_connections
+    /// How long a peer may leave a response unread before its connection
+    /// is reclaimed: the idle timeout (a peer gets as long to *read* a
+    /// response as to send a request), or 300 s when idleness is disabled,
+    /// so a peer that stops reading is reclaimed either way.
+    pub fn write_patience(&self) -> Duration {
+        if self.idle_timeout.is_zero() {
+            Duration::from_secs(300)
         } else {
-            workers.saturating_mul(4).max(1)
+            self.idle_timeout
         }
     }
 }
-
-/// Which serving core handles connections (`epfis serve --frontend`).
-///
-/// Both front ends run the same protocol engine ([`crate::session::Conn`])
-/// and the same [`LimitsConfig`] semantics; they differ only in how
-/// connections map onto threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Frontend {
-    /// Thread-per-connection worker pool: blocking reads with a poll
-    /// timeout, deadline-aware partial writes. Concurrency is bounded by
-    /// the admission cap (default 4 × workers).
-    #[default]
-    Pool,
-    /// Single-threaded `epfis-net` event loop: nonblocking readiness-driven
-    /// multiplexing (epoll, with a poll(2) fallback). Sustains tens of
-    /// thousands of concurrent connections; the admission cap defaults to
-    /// [`EVLOOP_DEFAULT_MAX_CONNECTIONS`].
-    Evloop,
-}
-
-impl Frontend {
-    /// Parse a `--frontend` value.
-    pub fn parse(s: &str) -> Result<Frontend, String> {
-        match s {
-            "pool" => Ok(Frontend::Pool),
-            "evloop" => Ok(Frontend::Evloop),
-            other => Err(format!(
-                "invalid frontend {other:?} (expected \"pool\" or \"evloop\")"
-            )),
-        }
-    }
-
-    /// The `--frontend` spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Frontend::Pool => "pool",
-            Frontend::Evloop => "evloop",
-        }
-    }
-}
-
-/// Admission cap for the event-loop front end when
-/// [`LimitsConfig::max_connections`] is 0: connections are cheap there, so
-/// the default is sized for "every client stays connected", not for a
-/// worker pool's queue depth.
-pub const EVLOOP_DEFAULT_MAX_CONNECTIONS: usize = 65_536;
 
 /// Server construction options.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads; 0 derives `max(4, epfis_par::threads())`.
+    /// Reactor threads serving connections; 0 derives
+    /// `epfis_par::threads()`.
     pub workers: usize,
     /// Catalog persistence path; `None` serves from memory only.
     pub catalog_path: Option<PathBuf>,
@@ -230,8 +181,6 @@ pub struct ServerConfig {
     /// Write-ahead logging for `ANALYZE` sessions; `None` keeps in-flight
     /// sessions memory-only (a disconnect or crash discards them).
     pub wal: Option<WalConfig>,
-    /// Which serving core handles connections (default: the worker pool).
-    pub frontend: Frontend,
     /// Filesystem for the durability paths (catalog persist + WAL);
     /// `None` uses the real filesystem. `epfis serve` wires a
     /// fault-injecting VFS here from the `EPFIS_FAULTS` environment hook
@@ -256,23 +205,9 @@ impl Default for ServerConfig {
             metrics_addr: None,
             logger: None,
             wal: None,
-            frontend: Frontend::default(),
             vfs: None,
             accuracy: AccuracyConfig::default(),
             slow_request_us: 100_000,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// Resolved worker count: the explicit setting, else the `epfis-par`
-    /// budget with a floor of 4 so several clients can stay connected even
-    /// on small machines.
-    pub fn effective_workers(&self) -> usize {
-        if self.workers > 0 {
-            self.workers
-        } else {
-            epfis_par::threads().max(4)
         }
     }
 }
@@ -328,13 +263,9 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) config: EpfisConfig,
     pub(crate) limits: LimitsConfig,
-    /// Connections admitted (accepted and not shed) and not yet finished;
-    /// compared against the admission cap at accept/admission time.
-    pub(crate) admitted: AtomicUsize,
-    /// Resolved admission cap ([`LimitsConfig::effective_max_connections`]
-    /// for the pool; [`EVLOOP_DEFAULT_MAX_CONNECTIONS`] default for the
-    /// event loop).
-    pub(crate) max_connections: usize,
+    /// Live connections per reactor; their sum is compared against the
+    /// admission cap at accept time.
+    pub(crate) placement: Placement,
     /// Durable-ingestion state when the server runs with a WAL; replayed
     /// before the listener binds.
     pub(crate) wal: Option<ServerWal>,
@@ -412,7 +343,7 @@ impl Shared {
 pub struct ServerHandle {
     shared: Arc<Shared>,
     accept: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    reactors: Vec<std::thread::JoinHandle<()>>,
     /// The HTTP observability endpoint, when configured; stops on drop.
     metrics_http: Option<HttpServer>,
 }
@@ -454,7 +385,7 @@ impl ServerHandle {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
-        for t in self.workers.drain(..) {
+        for t in self.reactors.drain(..) {
             let _ = t.join();
         }
         if let Some(mut http) = self.metrics_http.take() {
@@ -472,7 +403,7 @@ impl Drop for ServerHandle {
 
 /// Binds and starts a server.
 ///
-/// Returns once the listener is bound and the worker pool is running; the
+/// Returns once the listener is bound and the reactors are running; the
 /// returned handle stops the server on drop.
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     config
@@ -509,7 +440,10 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         }
         None => None,
     };
-    let workers_n = config.effective_workers();
+    let reactors_n = match config.workers {
+        0 => epfis_par::threads(),
+        n => n,
+    };
     let metrics = Metrics::new(Request::LABELS);
     let started = Instant::now();
     // Render-time gauges for values owned elsewhere: uptime and the
@@ -618,18 +552,6 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         )?),
         None => None,
     };
-    let max_connections = match config.frontend {
-        Frontend::Pool => config.limits.effective_max_connections(workers_n),
-        // Event-loop connections cost a slot, not a worker: the pool's
-        // queue-depth-derived default would be absurdly low.
-        Frontend::Evloop => {
-            if config.limits.max_connections > 0 {
-                config.limits.max_connections
-            } else {
-                EVLOOP_DEFAULT_MAX_CONNECTIONS
-            }
-        }
-    };
     let shared = Arc::new(Shared {
         catalog,
         metrics,
@@ -637,8 +559,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         shutdown: AtomicBool::new(false),
         config: config.epfis_config,
         limits: config.limits,
-        admitted: AtomicUsize::new(0),
-        max_connections,
+        placement: Placement::new(reactors_n),
         wal,
         health,
         accuracy,
@@ -651,49 +572,22 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         .logger
         .event(Level::Info, "server", "started")
         .field("addr", addr.to_string())
-        .field("frontend", config.frontend.as_str())
-        .field("workers", workers_n as u64)
+        .field("workers", reactors_n as u64)
         .field("catalog_entries", shared.catalog.snapshot().len() as u64)
         .emit();
 
-    if config.frontend == Frontend::Evloop {
-        let evloop = {
-            let shared = shared.clone();
+    let inboxes = (0..reactors_n)
+        .map(|_| Inbox::new().map(Arc::new))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let reactors = inboxes
+        .iter()
+        .enumerate()
+        .map(|(i, inbox)| {
+            let (shared, inbox) = (Arc::clone(&shared), Arc::clone(inbox));
             std::thread::Builder::new()
-                .name("epfis-evloop".to_string())
-                .spawn(move || crate::evloop::run(listener, shared))
-                .expect("spawn event-loop thread")
-        };
-        return Ok(ServerHandle {
-            shared,
-            accept: Some(evloop),
-            workers: Vec::new(),
-            metrics_http,
-        });
-    }
-
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers: Vec<_> = (0..workers_n)
-        .map(|i| {
-            let rx = rx.clone();
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name(format!("epfis-worker-{i}"))
-                .spawn(move || loop {
-                    let stream = {
-                        let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                        guard.recv()
-                    };
-                    match stream {
-                        Ok(s) => {
-                            handle_connection(s, &shared);
-                            shared.admitted.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        Err(_) => return, // channel closed: accept loop ended
-                    }
-                })
-                .expect("spawn worker thread")
+                .name(format!("epfis-reactor-{i}"))
+                .spawn(move || crate::evloop::run(shared, i, inbox))
+                .expect("spawn reactor thread")
         })
         .collect();
 
@@ -709,21 +603,19 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
                     if let Ok(s) = stream {
                         // Admission control: beyond the connection cap a
                         // fresh peer is shed with SERVER_BUSY right here,
-                        // instead of queueing (possibly forever) behind a
-                        // saturated worker pool.
-                        if shared.admitted.load(Ordering::SeqCst) >= shared.max_connections {
+                        // before it costs a reactor anything.
+                        if shared.placement.total() >= shared.limits.max_connections {
                             shed_connection(s, &shared);
                             continue;
                         }
-                        shared.admitted.fetch_add(1, Ordering::SeqCst);
-                        // A send can only fail once workers are gone, which
-                        // only happens at shutdown.
-                        if tx.send(s).is_err() {
-                            break;
-                        }
+                        inboxes[shared.placement.place()].push(s);
                     }
                 }
-                drop(tx); // lets idle workers drain and exit
+                // Reactors check the flag every tick; waking them makes
+                // the shutdown immediate.
+                for inbox in &inboxes {
+                    inbox.wake();
+                }
             })
             .expect("spawn accept thread")
     };
@@ -731,7 +623,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     Ok(ServerHandle {
         shared,
         accept: Some(accept),
-        workers,
+        reactors,
         metrics_http,
     })
 }
@@ -838,18 +730,18 @@ fn start_metrics_endpoint(
 /// Rejects a connection at admission: writes one `SERVER_BUSY` line (with a
 /// short timeout, so a peer that never reads cannot stall the accept loop)
 /// and drops the socket.
-pub(crate) fn shed_connection(stream: TcpStream, shared: &Shared) {
+fn shed_connection(stream: TcpStream, shared: &Shared) {
     shared.metrics.connection_shed();
     shared
         .logger
         .event(Level::Warn, "server", "connection_shed")
-        .field("active", shared.admitted.load(Ordering::SeqCst) as u64)
-        .field("limit", shared.max_connections as u64)
+        .field("active", shared.placement.total() as u64)
+        .field("limit", shared.limits.max_connections as u64)
         .emit();
     let response = frame_busy(&format!(
         "{} connections active (limit {}); retry later",
-        shared.admitted.load(Ordering::SeqCst),
-        shared.max_connections
+        shared.placement.total(),
+        shared.limits.max_connections
     ));
     let mut stream = stream;
     if stream
@@ -872,160 +764,8 @@ pub(crate) struct OpenSession {
     pub(crate) checkpointed_refs: u64,
 }
 
-/// Serves one connection to completion on the worker pool.
-fn handle_connection(stream: TcpStream, shared: &Shared) {
-    shared.metrics.connection_opened();
-    let peer = stream
-        .peer_addr()
-        .map(|a| a.to_string())
-        .unwrap_or_default();
-    shared
-        .logger
-        .event(Level::Debug, "server", "connection_opened")
-        .field("peer", peer.as_str())
-        .emit();
-    // Responses are small and latency-sensitive (text) or batched into one
-    // buffered write per pipeline drain (binary); Nagle buys nothing either
-    // way.
-    let _ = stream.set_nodelay(true);
-    let mut conn = Conn::new();
-    let mut stream = stream;
-    // Short read/write timeouts turn the blocking socket into a polling
-    // one: reads wake to check the shutdown flag and the idle deadline;
-    // writes report stalls so the deadline below can reclaim the worker.
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_ok()
-        && stream.set_write_timeout(Some(POLL_INTERVAL)).is_ok()
-    {
-        pool_serve(&mut stream, shared, &mut conn);
-    }
-    finish_connection(shared, conn.take_session());
-    shared.metrics.connection_closed();
-    shared
-        .logger
-        .event(Level::Debug, "server", "connection_closed")
-        .field("peer", peer.as_str())
-        .emit();
-}
-
-/// The pool front end's per-connection loop: blocking-with-timeout reads
-/// pushed through the shared [`Conn`] engine, deadline-aware writes.
-fn pool_serve(stream: &mut TcpStream, shared: &Shared, conn: &mut Conn) {
-    let mut out: Vec<u8> = Vec::with_capacity(8 * 1024);
-    // 16 KiB keeps bytes_in overshoot past a limit violation small (the
-    // pending cap is checked after each chunk), while staying well above
-    // the pre-PR 8 reader's 4 KiB chunks for ingest throughput.
-    let mut buf = vec![0u8; 16 * 1024];
-    loop {
-        match flush_deadline(stream, &mut out, shared) {
-            FlushOutcome::Done => {}
-            FlushOutcome::Stalled => {
-                // The write-stall reclaim: before PR 8 this was a blocking
-                // `write_all` that a non-reading peer could pin forever.
-                // Count the reclaim; a connection with an open ANALYZE
-                // session is counted by finish_connection instead.
-                if !conn.has_open_session() {
-                    shared.metrics.session_disconnected();
-                }
-                return;
-            }
-            FlushOutcome::Gone => return,
-        }
-        if conn.is_closed() {
-            return;
-        }
-        if conn.has_deferred_work() {
-            conn.resume(shared, &mut out);
-            continue;
-        }
-        match ReadStep::classify(stream.read(&mut buf)) {
-            ReadStep::Data(n) => {
-                conn.on_bytes(shared, &buf[..n], &mut out);
-            }
-            // EINTR: a stray signal is not a peer hangup (the pre-PR 8
-            // reader treated it as one and dropped the connection).
-            ReadStep::Retry => continue,
-            ReadStep::Idle => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                conn.check_idle(shared, &mut out);
-            }
-            ReadStep::Eof | ReadStep::Fatal(_) => return,
-        }
-    }
-}
-
-/// How [`flush_deadline`] left the connection.
-enum FlushOutcome {
-    /// Everything flushed.
-    Done,
-    /// The peer stopped reading: the write deadline expired with bytes
-    /// still pending. The worker must be reclaimed.
-    Stalled,
-    /// Transport error or shutdown; just hang up.
-    Gone,
-}
-
-/// Writes `out` with deadline-aware partial writes, counting bytes as they
-/// reach the socket. The deadline reuses the idle timeout (with a 300 s
-/// fallback when idleness is disabled): a peer gets as long to *read* a
-/// response as it gets to send a request.
-fn flush_deadline(stream: &mut TcpStream, out: &mut Vec<u8>, shared: &Shared) -> FlushOutcome {
-    if out.is_empty() {
-        return FlushOutcome::Done;
-    }
-    let patience = if shared.limits.idle_timeout.is_zero() {
-        Duration::from_secs(300)
-    } else {
-        shared.limits.idle_timeout
-    };
-    let flush_start = Instant::now();
-    let deadline = flush_start + patience;
-    let mut written = 0;
-    let outcome = loop {
-        if written >= out.len() {
-            break FlushOutcome::Done;
-        }
-        match stream.write(&out[written..]) {
-            Ok(0) => break FlushOutcome::Gone,
-            Ok(n) => {
-                written += n;
-                shared.metrics.add_bytes_out(n as u64);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    break FlushOutcome::Gone;
-                }
-                if Instant::now() >= deadline {
-                    shared
-                        .logger
-                        .event(Level::Warn, "server", "write_stall")
-                        .field("pending_bytes", (out.len() - written) as u64)
-                        .field("deadline_s", patience.as_secs_f64())
-                        .emit();
-                    break FlushOutcome::Stalled;
-                }
-            }
-            Err(_) => break FlushOutcome::Gone,
-        }
-    };
-    out.clear();
-    // Flush attribution covers the whole drained batch (command="ALL",
-    // phase="flush"): a flush serves every pipelined response at once, so
-    // per-request flush time is not a meaningful quantity.
-    shared
-        .metrics
-        .record_flush(flush_start.elapsed().as_micros() as u64);
-    outcome
-}
-
 /// End-of-connection handling for an `ANALYZE` session left open when the
-/// connection ended (EOF, error, limit, stall, shutdown), shared by both
-/// front ends. With a WAL the session is parked — every reference it holds
+/// connection ended (EOF, error, limit, stall, shutdown). With a WAL the session is parked — every reference it holds
 /// is already in the log, so a client can reattach with `ANALYZE RESUME`
 /// (even after a server restart). Without one, its references are
 /// discarded.
@@ -1628,5 +1368,32 @@ pub(crate) fn execute(
         // means the request arrived over an already-upgraded connection
         // (a TEXT passthrough frame carrying "HELLO BINARY").
         Request::Hello => Err("connection already uses binary framing".into()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::LimitsConfig;
+    use std::time::Duration;
+
+    #[test]
+    fn write_patience_follows_the_idle_timeout_and_falls_back_to_300s() {
+        let limits = |idle_ms| LimitsConfig {
+            idle_timeout: Duration::from_millis(idle_ms),
+            ..LimitsConfig::default()
+        };
+        assert_eq!(limits(500).write_patience(), Duration::from_millis(500));
+        // Idleness off must not mean a non-reading peer is kept forever.
+        assert_eq!(limits(0).write_patience(), Duration::from_secs(300));
+    }
+
+    #[test]
+    fn admission_cap_defaults_to_65536_and_must_be_positive() {
+        assert_eq!(LimitsConfig::default().max_connections, 65_536);
+        let zero = LimitsConfig {
+            max_connections: 0,
+            ..LimitsConfig::default()
+        };
+        assert!(zero.validate().is_err());
     }
 }

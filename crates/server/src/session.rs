@@ -1,14 +1,13 @@
 //! The per-connection protocol engine as a pure state machine.
 //!
-//! Before PR 8, protocol logic lived inside blocking read loops
-//! (`FrameReader::read_line` / `read_frame`), which tied it to the
-//! thread-per-connection front end and let three I/O bugs hide in the
-//! transport plumbing (worker-pinning blocking writes, `EINTR` treated as
-//! peer-closed, pending-buffer overflows misreported as `ERR limit line`).
-//! [`Conn`] inverts that: bytes are *pushed* in and response bytes come out,
-//! with no I/O anywhere — so the same engine, with byte-identical wire
-//! behavior, serves both the retained worker-pool front end and the
-//! `epfis-net` event loop.
+//! [`Conn`] never touches a socket: bytes are *pushed* in and response
+//! bytes come out. The reactors ([`crate::evloop`]) own all I/O and feed
+//! every connection through this one engine, so the wire behavior does not
+//! depend on which reactor, or how many, serve a connection. Keeping I/O
+//! out also keeps three bugs out that blocking read loops once hid in their
+//! transport plumbing: thread-pinning blocking writes, `EINTR` treated as
+//! peer-closed, and pending-buffer overflows misreported as
+//! `ERR limit line`.
 //!
 //! What [`Conn`] owns (everything [`crate::server::LimitsConfig`] promises):
 //!
@@ -19,14 +18,14 @@
 //!   diagnoses,
 //! * request-line / frame-body bounds (`ERR limit line`, `ERR limit frame`),
 //! * the idle clock: reset only by a *complete* request, checked by the
-//!   front end via [`Conn::check_idle`] (`ERR limit idle`),
+//!   reactor via [`Conn::check_idle`] (`ERR limit idle`),
 //! * the text → binary upgrade (`HELLO BINARY`), including bytes a
 //!   pipelining client sent behind its upgrade line,
 //! * atomic `PAGE` batches, the binary `ESTIMATE` entry cache, per-request
 //!   metrics and the `limit_rejections` family.
 //!
 //! Output growth is bounded: once `out` crosses [`BINARY_FLUSH_BYTES`] the
-//! engine parks ([`Conn::has_deferred_work`]) until the front end has
+//! engine parks ([`Conn::has_deferred_work`]) until the reactor has
 //! flushed and calls [`Conn::resume`] — which is also what stops a peer
 //! that pipelines requests but never reads from ballooning server memory.
 
@@ -44,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Flush threshold for the response buffer: past this, the engine defers
-/// further request processing until the front end has flushed, so an
+/// further request processing until the reactor has flushed, so an
 /// enormous pipeline cannot grow the buffer without bound.
 pub(crate) const BINARY_FLUSH_BYTES: usize = 256 * 1024;
 
@@ -121,7 +120,7 @@ impl Conn {
         }
     }
 
-    /// Whether the engine decided to close (the front end still flushes
+    /// Whether the engine decided to close (the reactor still flushes
     /// whatever is in `out` first).
     pub(crate) fn is_closed(&self) -> bool {
         self.closed
@@ -157,7 +156,7 @@ impl Conn {
         // diagnoses win: an oversized incomplete line is `limit line`, an
         // oversized frame is `limit frame`. What's left here is a genuine
         // backlog overflow — complete-but-unconsumed requests piling up
-        // faster than the front end can flush responses. Memory stays
+        // faster than the reactor can flush responses. Memory stays
         // bounded at `max_pending_bytes` plus one read chunk, because the
         // connection closes on the first violation.
         if !self.closed && self.pending.len() > shared.limits.max_pending_bytes {
@@ -182,7 +181,7 @@ impl Conn {
         step
     }
 
-    /// Continue processing buffered requests after the front end flushed
+    /// Continue processing buffered requests after the reactor flushed
     /// `out` (see [`Conn::has_deferred_work`]).
     pub(crate) fn resume(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Step {
         if self.closed {
@@ -191,7 +190,7 @@ impl Conn {
         self.process(shared, out)
     }
 
-    /// Enforce the idle deadline. Front ends call this periodically; it
+    /// Enforce the idle deadline. Reactors call this periodically; it
     /// fires only when no complete request arrived within
     /// `limits.idle_timeout` of the previous one.
     pub(crate) fn check_idle(&mut self, shared: &Shared, out: &mut Vec<u8>) -> Step {

@@ -1,31 +1,28 @@
-//! Front-end cross-validation and the PR 8 I/O-bug regression suite.
+//! Reactor cross-validation and the I/O-bug regression suite.
 //!
-//! `epfis serve` now has two serving cores — the retained worker pool and
-//! the `epfis-net` event loop — wrapped around one shared protocol engine.
-//! This suite proves:
+//! `epfis serve` runs every connection on `--workers N` event-loop
+//! reactors around one shared protocol engine. This suite proves:
 //!
-//! * the same deterministic workload answers **byte-identically** over both
-//!   front ends, in text and in binary framing;
+//! * the same deterministic workload answers **byte-identically** on one
+//!   reactor and on four, in text and in binary framing;
 //! * a peer that provokes a huge response and then stops reading (the
-//!   write-stall that used to pin a pool worker forever inside a blocking
-//!   `write_all`) is reclaimed by *both* front ends, counted under
+//!   write-stall that pins a thread serving with blocking writes) is
+//!   reclaimed at the write deadline, counted under
 //!   `sessions_disconnected`;
 //! * a pending-buffer overflow answers the distinct `ERR limit pending ...`
 //!   (it used to masquerade as an oversized-line/frame rejection);
-//! * the event loop sustains 10k concurrent idle connections with a fixed,
+//! * the server sustains 10k concurrent idle connections with a fixed,
 //!   tiny thread count, while still serving them all.
 
 use epfis_server::{
-    framing, hostile, serve, Client, ClientError, Frontend, LimitsConfig, ServerConfig,
-    ServerHandle,
+    framing, hostile, serve, Client, ClientError, LimitsConfig, ServerConfig, ServerHandle,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
-fn frontend_server(frontend: Frontend, workers: usize, limits: LimitsConfig) -> ServerHandle {
+fn server(workers: usize, limits: LimitsConfig) -> ServerHandle {
     serve(ServerConfig {
-        frontend,
         workers,
         limits,
         ..ServerConfig::default()
@@ -68,7 +65,7 @@ fn commit_small_entry(addr: SocketAddr, name: &str) {
     );
 }
 
-/// The deterministic command script both front ends must answer
+/// The deterministic command script every reactor count must answer
 /// identically: happy paths, every protocol error family, and an ingest.
 fn text_script() -> Vec<String> {
     let mut script = vec![
@@ -143,49 +140,40 @@ fn run_binary_script(addr: SocketAddr) -> Vec<String> {
     transcript
 }
 
-#[test]
-fn pool_and_evloop_serve_byte_identical_text_responses() {
-    let run = |frontend| {
-        let server = frontend_server(frontend, 2, LimitsConfig::default());
-        let transcript = run_text_script(server.addr());
-        server.shutdown_and_join();
-        transcript
-    };
-    let pool = run(Frontend::Pool);
-    let evloop = run(Frontend::Evloop);
-    assert_eq!(pool.len(), evloop.len());
-    for (p, e) in pool.iter().zip(&evloop) {
-        assert_eq!(p, e, "front ends diverge on a text response");
-    }
+/// Runs `script` against a fresh server with `workers` reactors.
+fn transcript_on(workers: usize, script: fn(SocketAddr) -> Vec<String>) -> Vec<String> {
+    let server = server(workers, LimitsConfig::default());
+    let transcript = script(server.addr());
+    server.shutdown_and_join();
+    transcript
 }
 
 #[test]
-fn pool_and_evloop_serve_byte_identical_binary_responses() {
-    let run = |frontend| {
-        let server = frontend_server(frontend, 2, LimitsConfig::default());
-        let transcript = run_binary_script(server.addr());
-        server.shutdown_and_join();
-        transcript
-    };
-    let pool = run(Frontend::Pool);
-    let evloop = run(Frontend::Evloop);
-    assert_eq!(pool.len(), evloop.len());
-    for (p, e) in pool.iter().zip(&evloop) {
-        assert_eq!(p, e, "front ends diverge on a binary response");
-    }
+fn one_and_four_reactors_serve_byte_identical_text_responses() {
+    let one = transcript_on(1, run_text_script);
+    let four = transcript_on(4, run_text_script);
+    assert_eq!(one, four, "reactor counts diverge on a text response");
 }
 
-/// The tentpole bugfix, asserted per front end: a peer that provokes ~30 MB
-/// of responses and stops reading must not hold its server resources past
-/// the write deadline. Before PR 8 the pool worker sat in a blocking
-/// `write_all` forever; with `workers: 1` that froze the whole server.
-fn write_stall_is_reclaimed_on(frontend: Frontend) {
+#[test]
+fn one_and_four_reactors_serve_byte_identical_binary_responses() {
+    let one = transcript_on(1, run_binary_script);
+    let four = transcript_on(4, run_binary_script);
+    assert_eq!(one, four, "reactor counts diverge on a binary response");
+}
+
+/// A peer that provokes ~30 MB of responses and stops reading must not hold
+/// its server resources past the write deadline. A server answering with a
+/// blocking `write_all` would sit there forever; with one reactor that
+/// would freeze every other connection too.
+#[test]
+fn write_stall_is_reclaimed() {
     let limits = LimitsConfig {
         idle_timeout: Duration::from_millis(500),
         max_connections: 4,
         ..LimitsConfig::default()
     };
-    let server = frontend_server(frontend, 1, limits);
+    let server = server(1, limits);
     let addr = server.addr();
     commit_small_entry(addr, "stall.probe");
 
@@ -196,8 +184,8 @@ fn write_stall_is_reclaimed_on(frontend: Frontend) {
         "server must abandon the stalled flush and reset the connection: {outcome:?}"
     );
 
-    // The single worker (or the loop slot) is free again: a well-behaved
-    // client gets served promptly...
+    // The single reactor is free again: a well-behaved client gets served
+    // promptly...
     let mut c = Client::connect(addr).unwrap();
     assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
     // ...and the reclaim was counted.
@@ -206,28 +194,19 @@ fn write_stall_is_reclaimed_on(frontend: Frontend) {
     server.shutdown_and_join();
 }
 
-#[test]
-fn write_stall_is_reclaimed_on_the_pool_frontend() {
-    write_stall_is_reclaimed_on(Frontend::Pool);
-}
-
-#[test]
-fn write_stall_is_reclaimed_on_the_evloop_frontend() {
-    write_stall_is_reclaimed_on(Frontend::Evloop);
-}
-
 /// Regression: a pending-buffer overflow must answer the distinct
 /// `ERR limit pending ...`. The overflow here is a binary frame whose
 /// *total wire size* (header + declared body) exceeds `max_pending_bytes`
-/// even though the declared body respects `max_line_bytes` — before PR 8
-/// this was misreported as an oversized-frame rejection.
-fn pending_overflow_reports_limit_pending_on(frontend: Frontend) {
+/// even though the declared body respects `max_line_bytes` — it must not be
+/// misreported as an oversized-frame rejection.
+#[test]
+fn pending_overflow_reports_limit_pending() {
     let limits = LimitsConfig {
         max_line_bytes: 1024,
         max_pending_bytes: 1024,
         ..LimitsConfig::default()
     };
-    let server = frontend_server(frontend, 2, limits);
+    let server = server(2, limits);
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
@@ -277,16 +256,6 @@ fn pending_overflow_reports_limit_pending_on(frontend: Frontend) {
     server.shutdown_and_join();
 }
 
-#[test]
-fn pending_overflow_reports_limit_pending_on_the_pool_frontend() {
-    pending_overflow_reports_limit_pending_on(Frontend::Pool);
-}
-
-#[test]
-fn pending_overflow_reports_limit_pending_on_the_evloop_frontend() {
-    pending_overflow_reports_limit_pending_on(Frontend::Evloop);
-}
-
 /// An oversized *line* keeps its specific diagnosis even when it also
 /// overflows the pending buffer (the more specific rejection wins).
 #[test]
@@ -296,7 +265,7 @@ fn oversized_line_still_reports_limit_line_not_limit_pending() {
         max_pending_bytes: 1024,
         ..LimitsConfig::default()
     };
-    let server = frontend_server(Frontend::Evloop, 2, limits);
+    let server = server(2, limits);
     let mut c = Client::connect(server.addr()).unwrap();
     match c.request(&format!("ESTIMATE {} 0.5 10", "x".repeat(4096))) {
         Err(ClientError::Server(msg)) => assert!(msg.contains("limit line"), "{msg}"),
@@ -306,61 +275,9 @@ fn oversized_line_still_reports_limit_line_not_limit_pending() {
     server.shutdown_and_join();
 }
 
-/// Hostile-scenario parity: the limit family behaves on the event loop
-/// exactly as the hardening suite proves for the pool.
-#[test]
-fn evloop_rejects_floods_and_reclaims_idle_connections() {
-    let limits = LimitsConfig {
-        max_line_bytes: 64 * 1024,
-        max_pending_bytes: 128 * 1024,
-        idle_timeout: Duration::from_millis(400),
-        ..LimitsConfig::default()
-    };
-    let server = frontend_server(Frontend::Evloop, 2, limits);
-    let addr = server.addr();
-
-    let flood = hostile::flood_without_newline(addr, 8 * 1024 * 1024).unwrap();
-    assert!(
-        flood.disconnected
-            || flood
-                .response
-                .as_deref()
-                .is_some_and(|r| r.contains("limit line")),
-        "flood must be rejected: {flood:?}"
-    );
-
-    let binflood = hostile::binary_flood(addr, 8 * 1024 * 1024).unwrap();
-    assert!(
-        binflood.disconnected
-            || binflood
-                .response
-                .as_deref()
-                .is_some_and(|r| r.contains("limit frame")),
-        "binary flood must be rejected from the header: {binflood:?}"
-    );
-
-    // An idle connection is reclaimed with `ERR limit idle`.
-    let mut idle = TcpStream::connect(addr).unwrap();
-    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    let mut response = String::new();
-    let _ = idle.read_to_string(&mut response);
-    assert!(response.contains("limit idle"), "{response:?}");
-    server.shutdown_and_join();
-}
-
-#[test]
-fn evloop_shutdown_command_stops_the_server() {
-    let server = frontend_server(Frontend::Evloop, 2, LimitsConfig::default());
-    let mut c = Client::connect(server.addr()).unwrap();
-    assert_eq!(c.request("PING").unwrap(), vec!["pong".to_string()]);
-    let lines = c.request("SHUTDOWN").unwrap();
-    assert_eq!(lines, vec!["bye".to_string()]);
-    server.join();
-}
-
-/// The scaling claim: 10k concurrent idle connections on the event loop,
-/// all actually served, with the process's thread count fixed. The pool
-/// could only ever watch `workers` of these at once.
+/// The scaling claim: 10k concurrent idle connections on two reactors, all
+/// actually served, with the process's thread count fixed. A thread per
+/// connection could only ever watch `workers` of these at once.
 #[test]
 fn evloop_sustains_10k_idle_connections() {
     const CONNS: usize = 10_000;
@@ -377,7 +294,7 @@ fn evloop_sustains_10k_idle_connections() {
             return;
         }
     }
-    let server = frontend_server(Frontend::Evloop, 2, LimitsConfig::default());
+    let server = server(2, LimitsConfig::default());
     let addr = server.addr();
 
     let start = Instant::now();
