@@ -1,19 +1,21 @@
 //! Streaming LRU-Fit ingestion: one session per connection.
 //!
 //! The paper runs LRU-Fit over the statistics scan of an index — a pass
-//! that, in a live system, arrives as a *stream* of `(key, page)` references
-//! in key order, not as a file. [`IngestSession`] consumes that stream
-//! incrementally:
+//! over the B-tree's leaves that, in a live system, arrives as a *stream*
+//! of `(key, page)` references in strictly increasing key order, not as a
+//! file. [`IngestSession`] consumes that stream incrementally:
 //!
 //! * every reference goes straight into a [`StackAnalyzer`] (whose
 //!   time-axis compaction bounds memory to the working set, so an
 //!   arbitrarily long scan never accumulates the trace),
 //! * run boundaries (key changes), Algorithm DC's cluster counters, and the
 //!   max page id are tracked on the fly,
+//! * key order is checked with one comparison per run boundary: a new
+//!   run's key must be greater than the open run's key, so a repeated key
+//!   or a key that goes down is rejected without remembering earlier keys,
 //!
-//! so session memory is O(distinct pages + distinct keys) — the key-order
-//! duplicate check needs a set of seen keys — regardless of how many
-//! references stream in. [`IngestSession::commit`] then performs the
+//! so session memory is O(distinct pages) regardless of how many references
+//! or keys stream in. [`IngestSession::commit`] then performs the
 //! remaining LRU-Fit steps (grid sampling + segment fitting) and returns
 //! both the catalog entry and the [`TraceSummary`] the `COMPARE` command
 //! serves the baseline estimators from.
@@ -21,105 +23,6 @@
 use epfis::{EpfisConfig, IndexStatistics, LruFit};
 use epfis_estimators::TraceSummary;
 use epfis_lrusim::StackAnalyzer;
-
-/// An insert-only open-addressing set of `i64` keys.
-///
-/// The run-boundary duplicate check fires once per key change, which on
-/// short runs is a large fraction of every reference fed — with
-/// `std::collections::HashSet` (SipHash) it dominated the wire-to-analyzer
-/// gap the binary protocol is meant to close. Keys never leave the set, so
-/// a tombstone-free linear-probe table with a multiplicative hash does the
-/// same job at a fraction of the cost.
-#[derive(Debug, Default)]
-struct KeySet {
-    /// Slot keys; validity comes from `used` (keys are arbitrary `i64`s, so
-    /// no in-band sentinel exists).
-    slots: Vec<i64>,
-    /// One bit per slot.
-    used: Vec<u64>,
-    len: usize,
-}
-
-impl KeySet {
-    /// Fibonacci hashing: multiply, keep the high bits via the mask below.
-    #[inline]
-    fn hash(key: i64) -> u64 {
-        (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-    }
-
-    #[inline]
-    fn is_used(&self, slot: usize) -> bool {
-        self.used[slot >> 6] & (1u64 << (slot & 63)) != 0
-    }
-
-    #[inline]
-    fn mark_used(&mut self, slot: usize) {
-        self.used[slot >> 6] |= 1u64 << (slot & 63);
-    }
-
-    fn grow(&mut self) {
-        let new_cap = (self.slots.len() * 2).max(64);
-        let old_slots = std::mem::replace(&mut self.slots, vec![0; new_cap]);
-        let old_used = std::mem::replace(&mut self.used, vec![0; new_cap / 64]);
-        for (i, key) in old_slots.into_iter().enumerate() {
-            if old_used[i >> 6] & (1u64 << (i & 63)) != 0 {
-                let mask = new_cap - 1;
-                let mut slot = (Self::hash(key) >> 32) as usize & mask;
-                while self.is_used(slot) {
-                    slot = (slot + 1) & mask;
-                }
-                self.slots[slot] = key;
-                self.mark_used(slot);
-            }
-        }
-    }
-
-    /// True if `key` is in the set.
-    #[inline]
-    fn contains(&self, key: i64) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = (Self::hash(key) >> 32) as usize & mask;
-        while self.is_used(slot) {
-            if self.slots[slot] == key {
-                return true;
-            }
-            slot = (slot + 1) & mask;
-        }
-        false
-    }
-
-    /// Inserts `key`; returns `true` if it was not already present.
-    #[inline]
-    fn insert(&mut self, key: i64) -> bool {
-        // Grow at 50% load so probe chains stay short.
-        if self.len * 2 >= self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut slot = (Self::hash(key) >> 32) as usize & mask;
-        while self.is_used(slot) {
-            if self.slots[slot] == key {
-                return false;
-            }
-            slot = (slot + 1) & mask;
-        }
-        self.slots[slot] = key;
-        self.mark_used(slot);
-        self.len += 1;
-        true
-    }
-
-    /// Iterates the stored keys, in unspecified (slot) order.
-    fn iter(&self) -> impl Iterator<Item = i64> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, &k)| self.is_used(i).then_some(k))
-    }
-}
 
 /// An in-progress streaming analysis (`ANALYZE BEGIN` … `COMMIT`).
 pub struct IngestSession {
@@ -131,7 +34,6 @@ pub struct IngestSession {
     keys: u64,
     max_page: u32,
     current_key: Option<i64>,
-    seen_keys: KeySet,
     // Algorithm DC cluster-counter state, maintained to match what
     // `TraceSummary::from_trace` computes from a whole trace. The min/max
     // reading compares a run's min page against the *previous* run's max,
@@ -162,7 +64,6 @@ impl IngestSession {
             keys: 0,
             max_page: 0,
             current_key: None,
-            seen_keys: KeySet::default(),
             cc_minmax: 0,
             cc_run_order: 0,
             run_min: 0,
@@ -195,9 +96,10 @@ impl IngestSession {
         self.analyzer.compactions()
     }
 
-    /// Feeds one `(key, page)` reference. Keys must arrive grouped (key
-    /// order): a key restarting after another key is rejected, as is a page
-    /// at or beyond a declared `table_pages`.
+    /// Feeds one `(key, page)` reference. Keys must arrive in strictly
+    /// increasing order, one run per key: a key below the open run's key
+    /// is rejected (a repeat of an earlier key always is), as is a page at
+    /// or beyond a declared `table_pages`.
     pub fn feed(&mut self, key: i64, page: u32) -> Result<(), String> {
         if let Some(t) = self.declared_table_pages {
             if page >= t {
@@ -209,12 +111,10 @@ impl IngestSession {
             self.run_max = self.run_max.max(page);
             self.run_last = page;
         } else {
-            if !self.seen_keys.insert(key) {
-                return Err(format!(
-                    "key {key} appears in two separate runs (references must be in key order)"
-                ));
-            }
-            if self.current_key.is_some() {
+            if let Some(last) = self.current_key {
+                if key < last {
+                    return Err(out_of_order(key, last));
+                }
                 self.close_run();
             }
             self.current_key = Some(key);
@@ -234,9 +134,9 @@ impl IngestSession {
 
     /// Validates a whole `(key, page)` batch against the current session
     /// state *without* mutating it: every check [`IngestSession::feed`]
-    /// would make — pages within a declared `table_pages`, no key restarting
-    /// after another key began (neither against already-fed keys nor within
-    /// the batch itself) — is simulated up front. A batch that passes cannot
+    /// would make — pages within a declared `table_pages`, each new run's
+    /// key above the run before it (the session's open run, then the
+    /// batch's own) — is simulated up front. A batch that passes cannot
     /// fail when fed, so `PAGE` lines apply atomically: a rejected line
     /// leaves the session exactly as it was, and the client can correct and
     /// retry it.
@@ -249,21 +149,16 @@ impl IngestSession {
     /// through this — no intermediate `Vec` is ever built.
     pub fn check_batch_iter(&self, pairs: impl Iterator<Item = (i64, u32)>) -> Result<(), String> {
         let mut current = self.current_key;
-        let mut started_in_batch = KeySet::default();
         for (key, page) in pairs {
             if let Some(t) = self.declared_table_pages {
                 if page >= t {
                     return Err(format!("page {page} >= declared table_pages {t}"));
                 }
             }
-            if current != Some(key) {
-                if self.seen_keys.contains(key) || started_in_batch.contains(key) {
-                    return Err(format!(
-                        "key {key} appears in two separate runs (references must be in key order)"
-                    ));
-                }
-                started_in_batch.insert(key);
-                current = Some(key);
+            match current {
+                Some(last) if key == last => {}
+                Some(last) if key < last => return Err(out_of_order(key, last)),
+                _ => current = Some(key),
             }
         }
         Ok(())
@@ -313,7 +208,6 @@ impl IngestSession {
                 if current.is_some() {
                     self.close_run();
                 }
-                self.seen_keys.insert(key);
                 current = Some(key);
                 self.keys += 1;
                 if self.keys > 1 && page >= self.prev_run_last {
@@ -362,10 +256,6 @@ impl IngestSession {
     /// restored from this and fed the rest of the stream commits
     /// statistics bit-identical to one that never stopped.
     pub fn checkpoint(&self) -> SessionCheckpoint {
-        let mut seen_keys: Vec<i64> = self.seen_keys.iter().collect();
-        // Slot order depends on insertion history; sort so the same
-        // session state always serializes to the same bytes.
-        seen_keys.sort_unstable();
         SessionCheckpoint {
             name: self.name.clone(),
             declared_table_pages: self.declared_table_pages,
@@ -374,7 +264,6 @@ impl IngestSession {
             keys: self.keys,
             max_page: self.max_page,
             current_key: self.current_key,
-            seen_keys,
             cc_minmax: self.cc_minmax,
             cc_run_order: self.cc_run_order,
             run_min: self.run_min,
@@ -391,10 +280,6 @@ impl IngestSession {
     /// [`IngestSession::new`].
     pub fn restore(cp: &SessionCheckpoint, config: EpfisConfig) -> Self {
         config.validate();
-        let mut seen_keys = KeySet::default();
-        for &k in &cp.seen_keys {
-            seen_keys.insert(k);
-        }
         IngestSession {
             name: cp.name.clone(),
             config,
@@ -404,7 +289,6 @@ impl IngestSession {
             keys: cp.keys,
             max_page: cp.max_page,
             current_key: cp.current_key,
-            seen_keys,
             cc_minmax: cp.cc_minmax,
             cc_run_order: cp.cc_run_order,
             run_min: cp.run_min,
@@ -450,6 +334,14 @@ impl IngestSession {
     }
 }
 
+/// The rejection for a run whose key is not above the open run's key.
+fn out_of_order(key: i64, last: i64) -> String {
+    format!(
+        "key {key} does not follow key {last} \
+         (statistics scans must stream keys in strictly increasing order)"
+    )
+}
+
 /// A serializable point-in-time capture of an [`IngestSession`], written
 /// to the WAL so a crashed server can resume in-flight ANALYZE streams.
 /// Field-for-field mirror of the session; the analyzer is captured in
@@ -468,10 +360,8 @@ pub struct SessionCheckpoint {
     pub keys: u64,
     /// Largest page id seen so far.
     pub max_page: u32,
-    /// Key whose run is currently open.
+    /// Key whose run is currently open; the next run's key must exceed it.
     pub current_key: Option<i64>,
-    /// All keys seen, sorted (canonical serialization order).
-    pub seen_keys: Vec<i64>,
     /// Algorithm DC min/max cluster counter.
     pub cc_minmax: u64,
     /// Algorithm DC run-order cluster counter.
@@ -567,7 +457,8 @@ mod tests {
         let mut s = IngestSession::new("ix".into(), EpfisConfig::default(), Some(10));
         s.feed(1, 0).unwrap();
         s.feed(2, 1).unwrap();
-        assert!(s.feed(1, 2).is_err(), "split run must be rejected");
+        let err = s.feed(1, 2).unwrap_err();
+        assert!(err.contains("key 1 does not follow key 2"), "{err}");
         assert!(s.feed(3, 10).is_err(), "page >= T must be rejected");
         // The session stays usable after a rejected reference.
         s.feed(3, 9).unwrap();
@@ -581,12 +472,17 @@ mod tests {
         s.feed_batch(&[(1, 0), (2, 1)]).unwrap();
         assert_eq!(s.records(), 2);
 
-        // Key 1 restarting mid-batch: rejected, with the valid prefix
-        // (3, 2) NOT applied.
+        // Key 1 repeating after key 3 mid-batch: rejected, with the valid
+        // prefix (3, 2) NOT applied.
         let err = s.feed_batch(&[(3, 2), (1, 5)]).unwrap_err();
-        assert!(err.contains("two separate runs"), "{err}");
+        assert!(err.contains("does not follow"), "{err}");
         assert_eq!(s.records(), 2);
         assert_eq!(s.keys(), 2);
+
+        // A batch whose first key goes below the open run's key.
+        let err = s.feed_batch(&[(0, 2), (3, 2)]).unwrap_err();
+        assert!(err.contains("key 0 does not follow key 2"), "{err}");
+        assert_eq!(s.records(), 2);
 
         // A page beyond table_pages mid-batch: same atomicity.
         let err = s.feed_batch(&[(3, 2), (4, 10)]).unwrap_err();
@@ -595,7 +491,7 @@ mod tests {
 
         // A key may not repeat within one batch non-contiguously either.
         let err = s.feed_batch(&[(3, 2), (4, 3), (3, 4)]).unwrap_err();
-        assert!(err.contains("two separate runs"), "{err}");
+        assert!(err.contains("key 3 does not follow key 4"), "{err}");
         assert_eq!(s.records(), 2);
 
         // The corrected retry (reusing the same keys!) now succeeds, and
@@ -660,12 +556,12 @@ mod tests {
     #[test]
     fn checkpoint_is_deterministic_and_restores_duplicate_detection() {
         let mut s = IngestSession::new("ix".into(), EpfisConfig::default(), Some(10));
-        s.feed_batch(&[(5, 0), (2, 1), (9, 3)]).unwrap();
-        // Same state → same checkpoint, regardless of internal table layout.
+        s.feed_batch(&[(2, 0), (5, 1), (9, 3)]).unwrap();
         assert_eq!(s.checkpoint(), s.checkpoint());
         let mut resumed = IngestSession::restore(&s.checkpoint(), EpfisConfig::default());
-        // Keys 5 and 2 are closed runs; restarting one must still fail.
-        assert!(resumed.feed(5, 4).is_err());
+        // Keys 2 and 5 are closed runs; repeating one must still fail.
+        let err = resumed.feed(5, 4).unwrap_err();
+        assert!(err.contains("key 5 does not follow key 9"), "{err}");
         // The open run for key 9 continues.
         resumed.feed(9, 4).unwrap();
         assert_eq!(resumed.records(), 4);

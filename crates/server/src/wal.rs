@@ -9,10 +9,14 @@
 //! BEGIN      0x01  sid:u64  segments:u32 (0 = none)  table_pages:u32 (0 = none)
 //!                  name_len:u16  name bytes
 //! PAGE       0x02  sid:u64  count:u32  count x { varint(zigzag(Δkey))  varint(page) }
-//! CHECKPOINT 0x03  sid:u64  serialized SessionCheckpoint
 //! COMMIT     0x04  sid:u64  commit_seq:u64  analyzed_at:u64
 //! ABORT      0x05  sid:u64
+//! CHECKPOINT 0x06  sid:u64  serialized SessionCheckpoint
 //! ```
+//!
+//! Tag `0x03` was the checkpoint layout that still carried the session's
+//! seen-key set. It no longer decodes: replay logs it as undecodable and
+//! rebuilds that session from its `BEGIN` and `PAGE` records instead.
 //!
 //! `PAGE` pairs are delta-packed rather than stored in framing v2's fixed
 //! 12-byte layout: index scans reference keys in nearly sorted runs, so a
@@ -20,7 +24,8 @@
 //! pair. The WAL's cost scales with bytes — CRC, page-cache copy, and
 //! above all fsync writeback — so a 4× smaller log is what keeps
 //! `fsync=batch` ingest within a few percent of WAL-off throughput.
-//! Checkpoint arrays (sorted seen-keys, analyzer counts) pack the same way.
+//! Checkpoint arrays (the analyzer's recency order and distance counts)
+//! pack as varints too, so a checkpoint is O(distinct pages) bytes.
 //!
 //! # Exactly-once commits
 //!
@@ -42,9 +47,11 @@
 //! every session still in flight is rebuilt — from its latest `CHECKPOINT`
 //! plus the `PAGE` records after it — and *parked* under its entry name.
 //! `ANALYZE RESUME <name>` attaches a parked session to a connection and
-//! streaming continues exactly where it stopped. Periodic checkpoints bound
-//! replay cost: at most one checkpoint interval of `PAGE` records is
-//! re-fed per session.
+//! streaming continues exactly where it stopped. A pre-pass finds each
+//! session's last decodable `CHECKPOINT`, and the replay pass skips that
+//! session's earlier `PAGE` and `CHECKPOINT` records, so periodic
+//! checkpoints bound replay cost: at most one checkpoint interval of `PAGE`
+//! records is re-fed per session ([`RecoveryReport::refed_refs`]).
 
 use std::collections::HashMap;
 use std::io;
@@ -63,9 +70,11 @@ use crate::ingest::{IngestSession, SessionCheckpoint};
 
 const TAG_BEGIN: u8 = 0x01;
 const TAG_PAGE: u8 = 0x02;
-const TAG_CHECKPOINT: u8 = 0x03;
+/// The retired checkpoint layout that carried the seen-key set.
+const TAG_CHECKPOINT_WITH_SEEN_KEYS: u8 = 0x03;
 const TAG_COMMIT: u8 = 0x04;
 const TAG_ABORT: u8 = 0x05;
+const TAG_CHECKPOINT: u8 = 0x06;
 
 /// Durability settings for `epfis serve`, resolved from `--wal-*` flags.
 #[derive(Debug, Clone)]
@@ -329,14 +338,6 @@ pub fn encode_checkpoint(out: &mut Vec<u8>, session_id: u64, cp: &SessionCheckpo
             put_i64(out, 0);
         }
     }
-    // `seen_keys` is sorted (see `IngestSession::checkpoint`), so zigzag
-    // deltas pack to about a byte per key.
-    put_u64(out, cp.seen_keys.len() as u64);
-    let mut prev_key = 0i64;
-    for &k in &cp.seen_keys {
-        put_varint(out, zigzag(k.wrapping_sub(prev_key)));
-        prev_key = k;
-    }
     put_u64(out, cp.cc_minmax);
     put_u64(out, cp.cc_run_order);
     put_u32(out, cp.run_min);
@@ -434,14 +435,6 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord, String> {
             let max_page = cur.u32()?;
             let has_current = cur.u8()? != 0;
             let current_raw = cur.i64()?;
-            let n_keys = decode_len(&mut cur, "seen_keys", u64::MAX >> 4)?;
-            let mut seen_keys = Vec::with_capacity(n_keys.min(1 << 20));
-            let mut prev_key = 0i64;
-            for _ in 0..n_keys {
-                let k = prev_key.wrapping_add(unzigzag(cur.varint()?));
-                seen_keys.push(k);
-                prev_key = k;
-            }
             let cc_minmax = cur.u64()?;
             let cc_run_order = cur.u64()?;
             let run_min = cur.u32()?;
@@ -478,7 +471,6 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord, String> {
                     keys,
                     max_page,
                     current_key: has_current.then_some(current_raw),
-                    seen_keys,
                     cc_minmax,
                     cc_run_order,
                     run_min,
@@ -499,6 +491,12 @@ pub fn decode_record(body: &[u8]) -> Result<WalRecord, String> {
             }
         }
         TAG_ABORT => WalRecord::Abort { session_id },
+        TAG_CHECKPOINT_WITH_SEEN_KEYS => {
+            return Err(format!(
+                "wal CHECKPOINT tag {TAG_CHECKPOINT_WITH_SEEN_KEYS:#04x} is the retired \
+                 seen-key layout; its session is rebuilt from PAGE records"
+            ))
+        }
         other => return Err(format!("unknown wal record tag {other:#04x}")),
     };
     cur.done()?;
@@ -536,6 +534,10 @@ pub struct RecoveryReport {
     pub committed: usize,
     /// In-flight sessions parked for `ANALYZE RESUME`.
     pub parked: usize,
+    /// `PAGE` references re-fed into sessions. Each session's `PAGE`
+    /// records before its last checkpoint are skipped, so this is at most
+    /// about one checkpoint interval per session.
+    pub refed_refs: u64,
     /// Bytes of torn tail truncated from the last segment.
     pub truncated_bytes: u64,
 }
@@ -593,9 +595,30 @@ impl ServerWal {
         let mut max_sid = 0u64;
         let mut max_seq = watermark;
         let mut committed = 0usize;
+        let mut refed_refs = 0u64;
         let record_count = replay.records.len();
 
-        for body in &replay.records {
+        // Pre-pass: the index of each session's last CHECKPOINT that
+        // decodes. Replay restores from it and skips the session's records
+        // before it, so a live session re-feeds at most one checkpoint
+        // interval of PAGE references.
+        let mut last_checkpoint: HashMap<u64, usize> = HashMap::new();
+        for (i, body) in replay.records.iter().enumerate() {
+            if body.first() == Some(&TAG_CHECKPOINT) {
+                if let Ok(WalRecord::Checkpoint { session_id, .. }) = decode_record(body) {
+                    last_checkpoint.insert(session_id, i);
+                }
+            }
+        }
+
+        for (i, body) in replay.records.iter().enumerate() {
+            if let (Some(&(TAG_PAGE | TAG_CHECKPOINT)), Some(sid)) = (body.first(), body.get(1..9))
+            {
+                let sid = u64::from_le_bytes(sid.try_into().unwrap());
+                if last_checkpoint.get(&sid).is_some_and(|&at| i < at) {
+                    continue;
+                }
+            }
             let rec = match decode_record(body) {
                 Ok(rec) => rec,
                 Err(e) => {
@@ -636,13 +659,16 @@ impl ServerWal {
                         // Live appends happen after validation, so a
                         // replayed batch re-validates cleanly; an error
                         // here means the log predates a rule change.
-                        if let Err(e) = rec.session.feed_batch(&pairs) {
-                            logger
-                                .event(Level::Warn, "wal", "replay_feed_failed")
-                                .field("entry", rec.name.as_str())
-                                .field("error", e.as_str())
-                                .emit();
-                            live.remove(&session_id);
+                        match rec.session.feed_batch(&pairs) {
+                            Ok(()) => refed_refs += pairs.len() as u64,
+                            Err(e) => {
+                                logger
+                                    .event(Level::Warn, "wal", "replay_feed_failed")
+                                    .field("entry", rec.name.as_str())
+                                    .field("error", e.as_str())
+                                    .emit();
+                                live.remove(&session_id);
+                            }
                         }
                     }
                 }
@@ -748,6 +774,7 @@ impl ServerWal {
                 records: record_count,
                 committed,
                 parked,
+                refed_refs,
                 truncated_bytes: replay.truncated_bytes,
             }),
         };
@@ -769,6 +796,7 @@ impl ServerWal {
             .field("records", record_count as u64)
             .field("committed", committed as u64)
             .field("parked", parked as u64)
+            .field("refed_refs", refed_refs)
             .field("truncated_bytes", replay.truncated_bytes)
             .emit();
         Ok(server_wal)
@@ -1063,6 +1091,36 @@ mod tests {
         assert_eq!(
             decode_record(&buf).unwrap(),
             WalRecord::Abort { session_id: 12 }
+        );
+    }
+
+    /// Checkpoint bytes are O(distinct pages): a near-unique-key scan over
+    /// the same 4096-page table checkpoints to about the same size at 64k
+    /// and at 1M references. The scan is nearly clustered (each reference
+    /// lands within a few pages of the sequential position), so the
+    /// analyzer's distance histogram stays short and any per-key state
+    /// would dominate the difference.
+    #[test]
+    fn checkpoint_size_does_not_grow_with_keys() {
+        const PAGES: u64 = 4096;
+        let checkpoint_bytes = |refs: u64| {
+            let mut s = IngestSession::new("ix.k".into(), EpfisConfig::default(), Some(4096));
+            let batch: Vec<(i64, u32)> = (0..refs)
+                .map(|i| {
+                    let jitter = i.wrapping_mul(2654435761) >> 7 & 7;
+                    ((i / 2) as i64, ((i * PAGES / refs + jitter) % PAGES) as u32)
+                })
+                .collect();
+            s.feed_batch(&batch).unwrap();
+            let mut buf = Vec::new();
+            encode_checkpoint(&mut buf, 1, &s.checkpoint());
+            buf.len() as f64
+        };
+        let small = checkpoint_bytes(1 << 16);
+        let large = checkpoint_bytes(1 << 20);
+        assert!(
+            (large - small).abs() / small < 0.05,
+            "64k refs: {small} B, 1M refs: {large} B"
         );
     }
 

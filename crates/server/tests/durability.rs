@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use epfis::EpfisConfig;
 use epfis_lrusim::AnalyzerSnapshot;
-use epfis_server::wal::{decode_record, encode_checkpoint};
+use epfis_server::wal::{decode_record, encode_begin, encode_checkpoint, encode_page};
 use epfis_server::{
     serve, Client, FsyncPolicy, IngestSession, ServerConfig, ServerWal, SessionCheckpoint,
     SharedCatalog, VersionedCatalog, WalConfig, WalRecord,
@@ -274,6 +274,152 @@ fn tcp_restart_resumes_and_commits_bit_identical() {
     assert!(back.get("ix.r").is_some());
 }
 
+/// Replay restores each session from its last checkpoint and skips the
+/// PAGE records before it: a session 3.5 checkpoint intervals long re-feeds
+/// only the half interval after its last checkpoint, and resuming it
+/// commits statistics bit-identical to an uninterrupted run.
+#[test]
+fn replay_refeeds_at_most_one_checkpoint_interval() {
+    let root = temp_dir("refeed");
+    let cat_path = root.join("catalog.scat");
+    let mut cfg = wal_config(root.join("wal"));
+    cfg.checkpoint_refs = 1000;
+    let logger = epfis_obs::Logger::disabled();
+    let base = EpfisConfig::default();
+    let pairs = scan_pairs(3500 + 1500, 150);
+    let (streamed, rest) = pairs.split_at(3500);
+
+    let clean = {
+        let mut s = IngestSession::new("ix.long".into(), base, Some(150));
+        s.feed_batch(&pairs).unwrap();
+        s.commit().unwrap().0
+    };
+
+    // Stream 3.5 intervals with the server's checkpoint rule, then crash.
+    {
+        let catalog = SharedCatalog::open(&cat_path).unwrap();
+        let wal = ServerWal::open(&cfg, &catalog, base, &logger).unwrap();
+        let sid = wal.begin("ix.long", None, Some(150)).unwrap();
+        let mut session = IngestSession::new("ix.long".into(), base, Some(150));
+        let mut checkpointed = 0;
+        for batch in streamed.chunks(100) {
+            session.check_batch(batch).unwrap();
+            wal.append_page(sid, batch.len(), batch.iter().copied())
+                .unwrap();
+            session.feed_batch_unchecked_iter(batch.iter().copied());
+            if session.records() - checkpointed >= wal.checkpoint_refs() {
+                wal.append_checkpoint(sid, &session.checkpoint()).unwrap();
+                checkpointed = session.records();
+            }
+        }
+        assert_eq!(checkpointed, 3000);
+    }
+
+    let catalog = SharedCatalog::open(&cat_path).unwrap();
+    let mut wal = ServerWal::open(&cfg, &catalog, base, &logger).unwrap();
+    let report = wal.take_report().unwrap();
+    assert_eq!(report.parked, 1);
+    assert_eq!(report.refed_refs, 500);
+    assert!(report.refed_refs <= cfg.checkpoint_refs);
+
+    let (mut resumed, _) = wal.take_parked("ix.long").unwrap();
+    assert_eq!(resumed.records(), 3500);
+    resumed.feed_batch(rest).unwrap();
+    assert_eq!(resumed.commit().unwrap().0, clean);
+}
+
+/// A log written before the seen-key set was dropped holds `0x03`
+/// CHECKPOINT records. They no longer decode, so replay rebuilds each such
+/// session from its BEGIN and PAGE records: a session whose keys were in
+/// strictly increasing order parks and resumes bit-identically; one whose
+/// keys were only grouped is dropped with `replay_feed_failed`.
+#[test]
+fn old_format_checkpoints_replay_from_page_records() {
+    /// The retired CHECKPOINT body: tag 0x03, then the current layout
+    /// with the sorted seen-key set (u64 count, zigzag-varint deltas)
+    /// inserted after `current_key`.
+    fn old_checkpoint_body(sid: u64, cp: &SessionCheckpoint, keys: &[i64]) -> Vec<u8> {
+        let mut body = Vec::new();
+        encode_checkpoint(&mut body, sid, cp);
+        body[0] = 0x03;
+        // tag, sid, name, table_pages, records, keys, max_page, current_key.
+        let at = 1 + 8 + 2 + cp.name.len() + 4 + 8 + 8 + 4 + 1 + 8;
+        let mut seen = (keys.len() as u64).to_le_bytes().to_vec();
+        let mut prev = 0i64;
+        for &k in keys {
+            let delta = k.wrapping_sub(prev);
+            let mut v = ((delta << 1) ^ (delta >> 63)) as u64;
+            while v >= 0x80 {
+                seen.push((v as u8) | 0x80);
+                v >>= 7;
+            }
+            seen.push(v as u8);
+            prev = k;
+        }
+        body.splice(at..at, seen);
+        body
+    }
+
+    let root = temp_dir("old-format");
+    let wal_dir = root.join("wal");
+    let base = EpfisConfig::default();
+    let sorted = scan_pairs(2400, 97);
+    let (logged, rest) = sorted.split_at(1800);
+    let unsorted: Vec<(i64, u32)> = vec![(5, 0), (5, 1), (2, 2), (9, 3)];
+    let clean = {
+        let mut s = IngestSession::new("old.sorted".into(), base, Some(97));
+        s.feed_batch(&sorted).unwrap();
+        s.commit().unwrap().0
+    };
+
+    {
+        let (mut log, _) = epfis_wal::Wal::open(epfis_wal::WalOptions {
+            dir: wal_dir.clone(),
+            fsync: FsyncPolicy::Never,
+            segment_bytes: 64 << 20,
+            vfs: epfis_wal::StdVfs::shared(),
+        })
+        .unwrap();
+        let mut body = Vec::new();
+        let mut append = |body: &[u8]| log.append(body).unwrap();
+
+        encode_begin(&mut body, 1, "old.sorted", None, Some(97));
+        append(&body);
+        let (first, second) = logged.split_at(900);
+        encode_page(&mut body, 1, first.len(), first.iter().copied());
+        append(&body);
+        let seen: Vec<i64> = (0..=first.last().unwrap().0).collect();
+        let mut shadow = IngestSession::new("old.sorted".into(), base, Some(97));
+        shadow.feed_batch(first).unwrap();
+        let old = old_checkpoint_body(1, &shadow.checkpoint(), &seen);
+        let err = decode_record(&old).unwrap_err();
+        assert!(err.contains("0x03"), "{err}");
+        append(&old);
+        encode_page(&mut body, 1, second.len(), second.iter().copied());
+        append(&body);
+
+        encode_begin(&mut body, 2, "old.unsorted", None, Some(4));
+        append(&body);
+        encode_page(&mut body, 2, unsorted.len(), unsorted.iter().copied());
+        append(&body);
+    }
+
+    let logger = epfis_obs::Logger::new(Some(epfis_obs::Level::Warn));
+    let catalog = SharedCatalog::open(root.join("catalog.scat")).unwrap();
+    let mut wal = ServerWal::open(&wal_config(&wal_dir), &catalog, base, &logger).unwrap();
+    let report = wal.take_report().unwrap();
+    assert_eq!(report.refed_refs, logged.len() as u64);
+    assert_eq!(wal.parked_names(), vec!["old.sorted".to_string()]);
+    let events: Vec<&'static str> = logger.recent(16).iter().map(|e| e.name).collect();
+    assert!(events.contains(&"replay_undecodable"), "{events:?}");
+    assert!(events.contains(&"replay_feed_failed"), "{events:?}");
+
+    let (mut resumed, _) = wal.take_parked("old.sorted").unwrap();
+    assert_eq!(resumed.records(), logged.len() as u64);
+    resumed.feed_batch(rest).unwrap();
+    assert_eq!(resumed.commit().unwrap().0, clean);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -294,7 +440,6 @@ proptest! {
         max_page in any::<u32>(),
         has_current in any::<bool>(),
         current_key in any::<i64>(),
-        seen_keys in prop::collection::vec(any::<i64>(), 0..64),
         cc_minmax in any::<u64>(),
         cc_run_order in any::<u64>(),
         run_min in any::<u32>(),
@@ -312,7 +457,6 @@ proptest! {
             keys,
             max_page,
             current_key: has_current.then_some(current_key),
-            seen_keys,
             cc_minmax,
             cc_run_order,
             run_min,

@@ -336,16 +336,18 @@ fn rejected_page_line_retries_to_identical_statistics() {
     c.request("ANALYZE COMMIT").unwrap();
 
     // Faulty ingest: the second batch is corrupted mid-line — its 17th pair
-    // restarts key 0 (already closed in batch one) — then retried intact.
+    // repeats key 0 (already closed in batch one) — then retried intact.
     c.request("ANALYZE BEGIN retry.ix table_pages=37").unwrap();
     let mut batches = refs.chunks(32);
     let first = batches.next().unwrap();
     let second = batches.next().unwrap();
     c.request(&batch_line(first)).unwrap();
     let mut corrupted = second.to_vec();
-    corrupted[16] = (0, 1); // key 0 appearing in a second run
+    corrupted[16] = (0, 1); // key 0 after key 11: keys must increase
     match c.request(&batch_line(&corrupted)) {
-        Err(ClientError::Server(msg)) => assert!(msg.contains("two separate runs"), "{msg}"),
+        Err(ClientError::Server(msg)) => {
+            assert!(msg.contains("key 0 does not follow key 11"), "{msg}")
+        }
         other => panic!("corrupted batch should be rejected, got {other:?}"),
     }
     // Nothing from the corrupted line stuck — not even its valid prefix —

@@ -1,7 +1,7 @@
 //! The buffer-pool manager.
 //!
 //! All page access in the engine goes through [`BufferPool`]: a fixed number
-//! of frames (the paper's `B`), a page table, a [`ReplacementPolicy`], and
+//! of frames (the paper's `B`), a page table, an [`LruPolicy`], and
 //! hit/miss accounting. A *miss* triggers a physical read on the
 //! [`DiskManager`] — the paper's "page fetch" — and possibly an eviction
 //! (with write-back if dirty).
@@ -14,37 +14,21 @@
 
 use crate::disk::DiskManager;
 use crate::page::{PageId, PAGE_SIZE};
-use crate::replacement::{ClockPolicy, FifoPolicy, LruPolicy, ReplacementPolicy};
+use crate::replacement::LruPolicy;
 use crate::{Result, StorageError};
 use std::collections::HashMap;
-
-/// Which replacement policy a pool should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PolicyKind {
-    /// Least recently used — the paper's assumption.
-    Lru,
-    /// First in, first out.
-    Fifo,
-    /// Clock / second chance.
-    Clock,
-}
 
 /// Pool construction parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct PoolConfig {
     /// Number of frames (the paper's buffer size `B`, in pages).
     pub frames: usize,
-    /// Replacement policy.
-    pub policy: PolicyKind,
 }
 
 impl PoolConfig {
     /// An LRU pool of `frames` pages.
     pub fn lru(frames: usize) -> Self {
-        PoolConfig {
-            frames,
-            policy: PolicyKind::Lru,
-        }
+        PoolConfig { frames }
     }
 }
 
@@ -116,7 +100,7 @@ pub struct BufferPool<D: DiskManager> {
     frames: Vec<Frame>,
     page_table: HashMap<PageId, usize>,
     free_list: Vec<usize>,
-    policy: Box<dyn ReplacementPolicy + Send>,
+    policy: LruPolicy,
     stats: PoolStats,
 }
 
@@ -128,17 +112,12 @@ impl<D: DiskManager> BufferPool<D> {
     /// even the page currently being accessed.
     pub fn new(disk: D, config: PoolConfig) -> Self {
         assert!(config.frames > 0, "buffer pool needs at least one frame");
-        let policy: Box<dyn ReplacementPolicy + Send> = match config.policy {
-            PolicyKind::Lru => Box::new(LruPolicy::new(config.frames)),
-            PolicyKind::Fifo => Box::new(FifoPolicy::new(config.frames)),
-            PolicyKind::Clock => Box::new(ClockPolicy::new(config.frames)),
-        };
         BufferPool {
             disk,
             frames: (0..config.frames).map(|_| Frame::empty()).collect(),
             page_table: HashMap::with_capacity(config.frames * 2),
             free_list: (0..config.frames).rev().collect(),
-            policy,
+            policy: LruPolicy::new(config.frames),
             stats: PoolStats::default(),
         }
     }
@@ -278,7 +257,7 @@ impl<D: DiskManager> BufferPool<D> {
         let frames = &self.frames;
         let victim = self
             .policy
-            .evict(&mut |f| frames[f].pin_count == 0)
+            .evict(|f| frames[f].pin_count == 0)
             .ok_or(StorageError::PoolExhausted)?;
         let v = &mut self.frames[victim];
         debug_assert!(v.occupied);
@@ -309,18 +288,18 @@ mod tests {
     use crate::disk::InMemoryDisk;
     use crate::page;
 
-    fn pool_with_pages(frames: usize, pages: u32, policy: PolicyKind) -> BufferPool<InMemoryDisk> {
+    fn pool_with_pages(frames: usize, pages: u32) -> BufferPool<InMemoryDisk> {
         let mut disk = InMemoryDisk::new();
         for _ in 0..pages {
             disk.allocate_page();
         }
         disk.reset_stats();
-        BufferPool::new(disk, PoolConfig { frames, policy })
+        BufferPool::new(disk, PoolConfig::lru(frames))
     }
 
     #[test]
     fn hit_after_first_access() {
-        let mut pool = pool_with_pages(2, 1, PolicyKind::Lru);
+        let mut pool = pool_with_pages(2, 1);
         pool.with_page(0, |_| ()).unwrap();
         pool.with_page(0, |_| ()).unwrap();
         let s = pool.stats();
@@ -334,7 +313,7 @@ mod tests {
     fn lru_eviction_pattern_matches_reference() {
         // Classic trace: with B=2 and trace 0,1,0,2,0,1 under LRU the misses
         // are 0,1,2,1 -> 4 misses, 2 hits.
-        let mut pool = pool_with_pages(2, 3, PolicyKind::Lru);
+        let mut pool = pool_with_pages(2, 3);
         for pid in [0u32, 1, 0, 2, 0, 1] {
             pool.with_page(pid, |_| ()).unwrap();
         }
@@ -345,7 +324,7 @@ mod tests {
 
     #[test]
     fn writes_survive_eviction() {
-        let mut pool = pool_with_pages(1, 2, PolicyKind::Lru);
+        let mut pool = pool_with_pages(1, 2);
         pool.with_page_mut(0, |b| {
             page::insert(b, b"persisted").unwrap();
         })
@@ -362,7 +341,7 @@ mod tests {
 
     #[test]
     fn clean_evictions_do_not_write() {
-        let mut pool = pool_with_pages(1, 3, PolicyKind::Lru);
+        let mut pool = pool_with_pages(1, 3);
         for pid in [0u32, 1, 2] {
             pool.with_page(pid, |_| ()).unwrap();
         }
@@ -372,7 +351,7 @@ mod tests {
 
     #[test]
     fn missing_page_error_leaves_pool_consistent() {
-        let mut pool = pool_with_pages(2, 1, PolicyKind::Lru);
+        let mut pool = pool_with_pages(2, 1);
         assert!(pool.with_page(42, |_| ()).is_err());
         // Counters rolled back; the pool still works.
         assert_eq!(pool.stats().requests, 0);
@@ -382,7 +361,7 @@ mod tests {
 
     #[test]
     fn into_disk_flushes_dirty_pages() {
-        let mut pool = pool_with_pages(2, 1, PolicyKind::Lru);
+        let mut pool = pool_with_pages(2, 1);
         pool.with_page_mut(0, |b| {
             page::insert(b, b"flushed").unwrap();
         })
@@ -398,7 +377,7 @@ mod tests {
         // Section 2: "For a table scan, the number of page fetches is exactly
         // T ... independent of the buffer pool size."
         for frames in [1usize, 3, 10] {
-            let mut pool = pool_with_pages(frames, 10, PolicyKind::Lru);
+            let mut pool = pool_with_pages(frames, 10);
             for pid in 0..10u32 {
                 pool.with_page(pid, |_| ()).unwrap();
             }
@@ -408,7 +387,7 @@ mod tests {
 
     #[test]
     fn resident_set_never_exceeds_capacity() {
-        let mut pool = pool_with_pages(3, 8, PolicyKind::Clock);
+        let mut pool = pool_with_pages(3, 8);
         for pid in (0..8u32).chain(0..8).chain((0..8).rev()) {
             pool.with_page(pid, |_| ()).unwrap();
             assert!(pool.resident_pages().len() <= 3);
@@ -416,24 +395,8 @@ mod tests {
     }
 
     #[test]
-    fn fifo_and_lru_differ_on_looping_trace() {
-        // Trace 0,1,0,2,0,3,...: LRU keeps page 0 resident, FIFO evicts it.
-        let trace: Vec<u32> = (1..20u32).flat_map(|p| [0, p]).collect();
-        let run = |policy| {
-            let mut pool = pool_with_pages(2, 20, policy);
-            for &pid in &trace {
-                pool.with_page(pid, |_| ()).unwrap();
-            }
-            pool.stats().misses
-        };
-        let lru = run(PolicyKind::Lru);
-        let fifo = run(PolicyKind::Fifo);
-        assert!(lru < fifo, "lru={lru} fifo={fifo}");
-    }
-
-    #[test]
     #[should_panic(expected = "at least one frame")]
     fn zero_frame_pool_panics() {
-        let _ = pool_with_pages(0, 1, PolicyKind::Lru);
+        let _ = pool_with_pages(0, 1);
     }
 }

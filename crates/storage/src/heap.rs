@@ -216,18 +216,12 @@ impl HeapScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bufferpool::{PolicyKind, PoolConfig};
+    use crate::bufferpool::PoolConfig;
     use crate::disk::InMemoryDisk;
     use crate::record::{ColumnType, Value};
 
     fn setup(frames: usize) -> (BufferPool<InMemoryDisk>, HeapFile) {
-        let mut pool = BufferPool::new(
-            InMemoryDisk::new(),
-            PoolConfig {
-                frames,
-                policy: PolicyKind::Lru,
-            },
-        );
+        let mut pool = BufferPool::new(InMemoryDisk::new(), PoolConfig::lru(frames));
         let schema = Schema::new(vec![("k", ColumnType::Int), ("payload", ColumnType::Str)]);
         let heap = HeapFile::create(&mut pool, schema);
         (pool, heap)
@@ -311,13 +305,7 @@ mod tests {
 
     #[test]
     fn insert_at_places_on_requested_page() {
-        let mut pool = BufferPool::new(
-            InMemoryDisk::new(),
-            PoolConfig {
-                frames: 4,
-                policy: PolicyKind::Lru,
-            },
-        );
+        let mut pool = BufferPool::new(InMemoryDisk::new(), PoolConfig::lru(4));
         let schema = Schema::new(vec![("k", ColumnType::Int)]);
         let mut heap = HeapFile::create_with_pages(&mut pool, schema, 5);
         let rid = heap

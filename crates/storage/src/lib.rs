@@ -11,8 +11,7 @@
 //! * [`record`] — a small typed row codec (schema + values),
 //! * [`disk`] — the backing "disk" ([`disk::DiskManager`]) with physical I/O
 //!   accounting; an in-memory implementation is provided,
-//! * [`replacement`] — pluggable buffer replacement policies (LRU as the
-//!   paper assumes, plus FIFO and Clock for ablation studies),
+//! * [`replacement`] — the LRU replacement policy the paper assumes,
 //! * [`bufferpool`] — the buffer-pool manager that mediates all page access
 //!   and counts hits, misses, and physical reads,
 //! * [`heap`] — heap files (unordered collections of records) built on top of
@@ -21,12 +20,9 @@
 //! The core types are deterministic and single-threaded by design — the
 //! point is faithful accounting — and the buffer pool's LRU miss counts are
 //! cross-validated elsewhere against the `epfis-lrusim` stack simulator,
-//! the analytical core of the paper. For the multi-user setting (§6 future
-//! work), [`concurrent::SharedBufferPool`] lets several scan threads share
-//! one pool behind a latch.
+//! the analytical core of the paper.
 
 pub mod bufferpool;
-pub mod concurrent;
 pub mod disk;
 pub mod heap;
 pub mod page;
@@ -34,12 +30,11 @@ pub mod record;
 pub mod replacement;
 
 pub use bufferpool::{BufferPool, PoolConfig, PoolStats};
-pub use concurrent::SharedBufferPool;
 pub use disk::{DiskManager, DiskStats, InMemoryDisk};
 pub use heap::{HeapFile, HeapScan};
 pub use page::{PageBuf, PageId, RecordId, SlotId, PAGE_SIZE};
 pub use record::{ColumnType, Record, Schema, Value};
-pub use replacement::{ClockPolicy, FifoPolicy, LruPolicy, ReplacementPolicy};
+pub use replacement::LruPolicy;
 
 /// Errors produced by the storage layer.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,31 +1,14 @@
-//! Buffer replacement policies.
+//! The buffer replacement policy.
 //!
 //! The paper assumes the buffer pool is managed with LRU ("as in most
-//! relational database systems"), so [`LruPolicy`] is the policy of record:
-//! its miss counts must agree exactly with the `epfis-lrusim` stack
-//! simulation, and an integration test holds it to that. [`FifoPolicy`] and
-//! [`ClockPolicy`] exist for ablations — EPFIS's stored FPF curve is an *LRU*
-//! model, and running the same scans under a different policy shows how much
-//! the LRU assumption is worth.
+//! relational database systems"), so [`LruPolicy`] is the pool's only
+//! policy: its miss counts must agree exactly with the `epfis-lrusim`
+//! stack simulation, and an integration test holds it to that. FIFO and
+//! Clock ablations run on the simulator (`epfis_lrusim::policies`), which
+//! needs no pages or frames to replay a trace.
 //!
-//! Policies operate on frame indices (`usize` slots in the pool's frame
+//! The policy operates on frame indices (`usize` slots in the pool's frame
 //! table), not page ids; the pool owns the page table.
-
-/// A victim-selection policy over buffer frames.
-pub trait ReplacementPolicy {
-    /// Called when a page is installed into frame `frame`.
-    fn on_insert(&mut self, frame: usize);
-    /// Called on every access (hit) to frame `frame`.
-    fn on_access(&mut self, frame: usize);
-    /// Called when frame `frame` is emptied outside of `evict` (e.g. pool
-    /// teardown or explicit invalidation).
-    fn on_remove(&mut self, frame: usize);
-    /// Picks a victim among tracked frames for which `evictable` returns
-    /// true, removes it from the policy's bookkeeping, and returns it.
-    fn evict(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize>;
-    /// Human-readable policy name (for reports).
-    fn name(&self) -> &'static str;
-}
 
 const NIL: usize = usize::MAX;
 
@@ -82,39 +65,23 @@ impl LruPolicy {
         self.tail = frame;
     }
 
-    /// Frames from LRU to MRU (test/diagnostic helper).
-    pub fn order(&self) -> Vec<usize> {
-        let mut out = Vec::new();
-        let mut cur = self.head;
-        while cur != NIL {
-            out.push(cur);
-            cur = self.next[cur];
-        }
-        out
-    }
-}
-
-impl ReplacementPolicy for LruPolicy {
-    fn on_insert(&mut self, frame: usize) {
+    /// Called when a page is installed into frame `frame`.
+    pub fn on_insert(&mut self, frame: usize) {
         debug_assert!(!self.tracked[frame], "frame inserted twice");
         self.tracked[frame] = true;
         self.push_mru(frame);
     }
 
-    fn on_access(&mut self, frame: usize) {
+    /// Called on every access (hit) to frame `frame`.
+    pub fn on_access(&mut self, frame: usize) {
         debug_assert!(self.tracked[frame], "access to untracked frame");
         self.unlink(frame);
         self.push_mru(frame);
     }
 
-    fn on_remove(&mut self, frame: usize) {
-        if self.tracked[frame] {
-            self.tracked[frame] = false;
-            self.unlink(frame);
-        }
-    }
-
-    fn evict(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
+    /// Picks the least recently used frame for which `evictable` returns
+    /// true, stops tracking it, and returns it.
+    pub fn evict(&mut self, mut evictable: impl FnMut(usize) -> bool) -> Option<usize> {
         let mut cur = self.head;
         while cur != NIL {
             if evictable(cur) {
@@ -127,118 +94,15 @@ impl ReplacementPolicy for LruPolicy {
         None
     }
 
-    fn name(&self) -> &'static str {
-        "lru"
-    }
-}
-
-/// First-in-first-out: eviction order is installation order, accesses are
-/// ignored.
-pub struct FifoPolicy {
-    lru: LruPolicy,
-}
-
-impl FifoPolicy {
-    /// Creates a policy for a pool with `capacity` frames.
-    pub fn new(capacity: usize) -> Self {
-        FifoPolicy {
-            lru: LruPolicy::new(capacity),
+    /// Frames from LRU to MRU (test/diagnostic helper).
+    pub fn order(&self) -> Vec<usize> {
+        let mut out = Vec::new();
+        let mut cur = self.head;
+        while cur != NIL {
+            out.push(cur);
+            cur = self.next[cur];
         }
-    }
-}
-
-impl ReplacementPolicy for FifoPolicy {
-    fn on_insert(&mut self, frame: usize) {
-        self.lru.on_insert(frame);
-    }
-
-    fn on_access(&mut self, _frame: usize) {
-        // FIFO ignores accesses: position is fixed at insertion.
-    }
-
-    fn on_remove(&mut self, frame: usize) {
-        self.lru.on_remove(frame);
-    }
-
-    fn evict(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
-        self.lru.evict(evictable)
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-}
-
-/// The Clock (second-chance) approximation of LRU.
-pub struct ClockPolicy {
-    referenced: Vec<bool>,
-    present: Vec<bool>,
-    hand: usize,
-    capacity: usize,
-}
-
-impl ClockPolicy {
-    /// Creates a policy for a pool with `capacity` frames.
-    pub fn new(capacity: usize) -> Self {
-        ClockPolicy {
-            referenced: vec![false; capacity],
-            present: vec![false; capacity],
-            hand: 0,
-            capacity,
-        }
-    }
-}
-
-impl ReplacementPolicy for ClockPolicy {
-    fn on_insert(&mut self, frame: usize) {
-        self.present[frame] = true;
-        self.referenced[frame] = true;
-    }
-
-    fn on_access(&mut self, frame: usize) {
-        self.referenced[frame] = true;
-    }
-
-    fn on_remove(&mut self, frame: usize) {
-        self.present[frame] = false;
-        self.referenced[frame] = false;
-    }
-
-    fn evict(&mut self, evictable: &mut dyn FnMut(usize) -> bool) -> Option<usize> {
-        if self.capacity == 0 {
-            return None;
-        }
-        // Two full sweeps suffice: the first clears reference bits, the
-        // second must find a victim unless everything is pinned.
-        for _ in 0..2 * self.capacity {
-            let f = self.hand;
-            self.hand = (self.hand + 1) % self.capacity;
-            if !self.present[f] || !evictable(f) {
-                continue;
-            }
-            if self.referenced[f] {
-                self.referenced[f] = false;
-            } else {
-                self.present[f] = false;
-                return Some(f);
-            }
-        }
-        // Everything referenced and pinned-free was given a second chance;
-        // take the first evictable frame.
-        for _ in 0..self.capacity {
-            let f = self.hand;
-            self.hand = (self.hand + 1) % self.capacity;
-            if self.present[f] && evictable(f) {
-                self.present[f] = false;
-                self.referenced[f] = false;
-                return Some(f);
-            }
-        }
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "clock"
+        out
     }
 }
 
@@ -246,8 +110,8 @@ impl ReplacementPolicy for ClockPolicy {
 mod tests {
     use super::*;
 
-    fn evict_any(p: &mut dyn ReplacementPolicy) -> Option<usize> {
-        p.evict(&mut |_| true)
+    fn evict_any(p: &mut LruPolicy) -> Option<usize> {
+        p.evict(|_| true)
     }
 
     #[test]
@@ -268,23 +132,10 @@ mod tests {
         let mut p = LruPolicy::new(3);
         p.on_insert(0);
         p.on_insert(1);
-        let v = p.evict(&mut |f| f != 0);
+        let v = p.evict(|f| f != 0);
         assert_eq!(v, Some(1));
         // Frame 0 is still tracked.
         assert_eq!(evict_any(&mut p), Some(0));
-    }
-
-    #[test]
-    fn lru_remove_unlinks() {
-        let mut p = LruPolicy::new(3);
-        p.on_insert(0);
-        p.on_insert(1);
-        p.on_insert(2);
-        p.on_remove(1);
-        assert_eq!(p.order(), vec![0, 2]);
-        assert_eq!(evict_any(&mut p), Some(0));
-        assert_eq!(evict_any(&mut p), Some(2));
-        assert_eq!(evict_any(&mut p), None);
     }
 
     #[test]
@@ -299,45 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn fifo_ignores_accesses() {
-        let mut p = FifoPolicy::new(3);
-        p.on_insert(0);
-        p.on_insert(1);
-        p.on_insert(2);
-        p.on_access(0);
-        p.on_access(0);
-        assert_eq!(evict_any(&mut p), Some(0));
-        assert_eq!(evict_any(&mut p), Some(1));
-    }
-
-    #[test]
-    fn clock_gives_second_chance() {
-        let mut p = ClockPolicy::new(3);
-        p.on_insert(0);
-        p.on_insert(1);
-        p.on_insert(2);
-        // All referenced; first sweep clears bits, victim is frame 0.
-        assert_eq!(evict_any(&mut p), Some(0));
-        // Re-referencing 1 protects it over 2.
-        p.on_access(1);
-        assert_eq!(evict_any(&mut p), Some(2));
-        assert_eq!(evict_any(&mut p), Some(1));
-        assert_eq!(evict_any(&mut p), None);
-    }
-
-    #[test]
-    fn clock_respects_unevictable() {
-        let mut p = ClockPolicy::new(2);
-        p.on_insert(0);
-        p.on_insert(1);
-        assert_eq!(p.evict(&mut |f| f == 1), Some(1));
-    }
-
-    #[test]
-    fn empty_policies_return_none() {
+    fn empty_policy_returns_none() {
         assert_eq!(evict_any(&mut LruPolicy::new(4)), None);
-        assert_eq!(evict_any(&mut FifoPolicy::new(4)), None);
-        assert_eq!(evict_any(&mut ClockPolicy::new(4)), None);
-        assert_eq!(evict_any(&mut ClockPolicy::new(0)), None);
     }
 }
