@@ -23,8 +23,11 @@ use std::net::ToSocketAddrs;
 /// Minimal HTTP GET against the server's metrics endpoint.
 fn http_get(addr: std::net::SocketAddr, path: &str) -> String {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect metrics");
-    write!(stream, "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n")
-        .expect("send request");
+    write!(
+        stream,
+        "GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n"
+    )
+    .expect("send request");
     let mut response = String::new();
     stream.read_to_string(&mut response).expect("read response");
     response

@@ -1,13 +1,14 @@
 //! Open-loop load generation for the EPFIS server.
 //!
-//! Closed-loop benchmarks (like the loopback ingest bench) measure how fast
-//! a cooperating client/server pair can go; they hide queueing delay
-//! because the client politely waits for each response before issuing the
-//! next request. This module drives the opposite contract: requests arrive
-//! on a fixed schedule (`rate` per second) whether or not earlier ones have
-//! completed, and **latency is measured from the scheduled arrival** — so
-//! server-side queueing shows up in the percentiles instead of silently
-//! stretching the run (the coordinated-omission trap).
+//! Closed-loop benchmarks (like perfbench's pipelined ESTIMATE phase)
+//! measure how fast a cooperating client/server pair can go; they hide
+//! queueing delay because the client politely waits for each response
+//! before issuing the next request. This module drives the opposite
+//! contract: requests arrive on a fixed schedule (`rate` per second)
+//! whether or not earlier ones have completed, and **latency is measured
+//! from the scheduled arrival** — so server-side queueing shows up in the
+//! percentiles instead of silently stretching the run (the
+//! coordinated-omission trap).
 //!
 //! The generator is a single thread multiplexing every client connection
 //! over an [`epfis_net::Poller`] — the same readiness core the server's

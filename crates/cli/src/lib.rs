@@ -108,7 +108,8 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
             [--theta T] [--k K] [--noise P] [--seed S] [--segments M]
             (or: --gwl TABLE.COLUMN [--scale D] instead of the synthetic knobs)
             (or: --trace FILE [--table-pages T], FILE has one `key page` pair
-             per line in key order — a captured statistics-scan trace)
+             per line in strictly increasing key order — a captured
+             statistics-scan trace)
   show      --catalog F
   fpf       --catalog F --name NAME [--points P]
   estimate  --catalog F --name NAME --sigma S --buffer B [--sargable X]
@@ -175,8 +176,10 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
 exit codes: 0 ok, 2 usage/parse error, 1 runtime error";
 
 /// Parses a captured statistics-scan trace: one `key page` pair per line
-/// (`#` comments and blank lines ignored), keys grouped contiguously in key
-/// order. `table_pages` defaults to `max(page) + 1`.
+/// (`#` comments and blank lines ignored), keys in strictly increasing order
+/// with each key's references contiguous — the order a B-tree leaf scan
+/// streams them in, and the rule `IngestSession` applies to PAGE batches.
+/// `table_pages` defaults to `max(page) + 1`.
 pub fn parse_trace_file(
     text: &str,
     table_pages: Option<u32>,
@@ -184,7 +187,6 @@ pub fn parse_trace_file(
     let mut pages: Vec<u32> = Vec::new();
     let mut run_lengths: Vec<u32> = Vec::new();
     let mut current_key: Option<i64> = None;
-    let mut seen: std::collections::HashSet<i64> = std::collections::HashSet::new();
     for (no, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -206,18 +208,19 @@ pub fn parse_trace_file(
         let page: u32 = page
             .parse()
             .map_err(|e| err(format!("trace line {}: bad page: {e}", no + 1)))?;
-        if current_key == Some(key) {
-            *run_lengths.last_mut().unwrap() += 1;
-        } else {
-            if !seen.insert(key) {
+        match current_key {
+            Some(last) if key == last => *run_lengths.last_mut().unwrap() += 1,
+            Some(last) if key < last => {
                 return Err(err(format!(
-                    "trace line {}: key {key} appears in two separate runs \
-                     (the trace must be in key order)",
+                    "trace line {}: key {key} does not follow key {last} \
+                     (statistics scans must stream keys in strictly increasing order)",
                     no + 1
-                )));
+                )))
             }
-            current_key = Some(key);
-            run_lengths.push(1);
+            _ => {
+                current_key = Some(key);
+                run_lengths.push(1);
+            }
         }
         pages.push(page);
     }
@@ -1092,6 +1095,13 @@ mod tests {
         assert!(parse_trace_file("x 2\n", None).is_err());
         // Split runs (same key twice, not contiguous) are rejected.
         assert!(parse_trace_file("1 0\n2 1\n1 2\n", None).is_err());
+        // So are grouped runs whose keys go down.
+        let e = parse_trace_file("2 0\n2 1\n1 2\n", None).unwrap_err();
+        assert!(
+            e.to_string()
+                .contains("trace line 3: key 1 does not follow key 2"),
+            "{e}"
+        );
         // Table size smaller than the largest page is rejected.
         assert!(parse_trace_file("1 10\n", Some(5)).is_err());
     }

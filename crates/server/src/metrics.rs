@@ -19,8 +19,7 @@ use std::sync::Arc;
 
 /// The phase-histogram family every command label registers under.
 const PHASE_FAMILY: &str = "epfis_server_phase_duration_us";
-const PHASE_HELP: &str =
-    "Per-request phase time in microseconds, by protocol command and phase";
+const PHASE_HELP: &str = "Per-request phase time in microseconds, by protocol command and phase";
 
 /// One phase's batch-local aggregate: count/sum/max plus the touched
 /// power-of-two buckets, mergeable into the shared [`Histogram`] with
@@ -124,7 +123,11 @@ impl CommandStats {
     fn new(registry: &Registry, label: &'static str) -> Self {
         let labels = [("command", label)];
         let phase = |p: &'static str| {
-            registry.histogram(PHASE_FAMILY, PHASE_HELP, &[("command", label), ("phase", p)])
+            registry.histogram(
+                PHASE_FAMILY,
+                PHASE_HELP,
+                &[("command", label), ("phase", p)],
+            )
         };
         CommandStats {
             requests: registry.counter(

@@ -10,7 +10,7 @@
 //!   connections;
 //! * **`--workers N` reactors** (default: `epfis-par`'s thread budget) each
 //!   run an `epfis-net` event loop over the connections they own, pushing
-//!   bytes through the protocol engine ([`crate::session::Conn`]), so tens
+//!   bytes through the protocol engine (`crate::session::Conn`), so tens
 //!   of thousands of mostly-idle connections cost slots and buffers, not
 //!   threads.
 //!
@@ -1270,7 +1270,9 @@ pub(crate) fn execute(
             };
             let b = buffer.unwrap_or_else(|| s.b_min.max(1));
             let estimate = s.estimate(&ScanQuery::range(sigma, b));
-            let obs = shared.accuracy.observe(&name, entry.epoch, estimate, actual);
+            let obs = shared
+                .accuracy
+                .observe(&name, entry.epoch, estimate, actual);
             shared
                 .accuracy_err_hist
                 .record((obs.rel_err.abs() * 1000.0).min(1e15) as u64);
@@ -1286,16 +1288,15 @@ pub(crate) fn execute(
             }
             Ok(vec![format!(
                 "observed {name} epoch={} estimate={estimate} actual={actual} rel_err={} stale={}",
-                entry.epoch,
-                obs.rel_err,
-                obs.stale as u8
+                entry.epoch, obs.rel_err, obs.stale as u8
             )])
         }
         Request::Drift { name } => match name {
             Some(name) => {
-                let summary = shared.accuracy.summary(&name).ok_or_else(|| {
-                    format!("no observations for {name:?} (send OBSERVE first)")
-                })?;
+                let summary = shared
+                    .accuracy
+                    .summary(&name)
+                    .ok_or_else(|| format!("no observations for {name:?} (send OBSERVE first)"))?;
                 Ok(vec![summary.render()])
             }
             None => Ok(shared

@@ -44,7 +44,7 @@ pub struct SlowEntry {
     pub unix_micros: u64,
     /// Command label (the same label `STATS` uses).
     pub command: &'static str,
-    /// Up to [`WIRE_PREVIEW_BYTES`] of the request text (binary frames
+    /// Up to `WIRE_PREVIEW_BYTES` of the request text (binary frames
     /// carry the command name only).
     pub wire: String,
     /// End-to-end latency.
@@ -143,13 +143,7 @@ impl SlowLog {
 
     /// Records one request if it crossed the threshold. Never blocks:
     /// a contended slot drops the entry. Returns whether it was kept.
-    pub fn record(
-        &self,
-        command: &'static str,
-        wire: &str,
-        total_us: u64,
-        phases: Phases,
-    ) -> bool {
+    pub fn record(&self, command: &'static str, wire: &str, total_us: u64, phases: Phases) -> bool {
         if total_us < self.threshold_us {
             return false;
         }
@@ -192,7 +186,7 @@ impl SlowLog {
                 }
             }
         }
-        entries.sort_by(|a, b| b.id.cmp(&a.id));
+        entries.sort_by_key(|e| std::cmp::Reverse(e.id));
         entries.truncate(limit);
         entries
     }

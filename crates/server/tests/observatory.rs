@@ -120,7 +120,10 @@ fn observe_pairs_ground_truth_with_the_current_estimate() {
     // An unspecified buffer defaults to the entry's fitted b_min.
     let default_line = c.request("OBSERVE orders.ck 250 77").unwrap()[0].clone();
     let expected_default = stats.estimate(&ScanQuery::range(0.25, stats.b_min.max(1)));
-    assert_eq!(field(&default_line, "estimate"), format!("{expected_default}"));
+    assert_eq!(
+        field(&default_line, "estimate"),
+        format!("{expected_default}")
+    );
 
     // Validation: unknown entries, zero buffers, malformed arguments.
     assert!(c.request("OBSERVE missing.ix 10 5").is_err());
@@ -201,9 +204,7 @@ fn biased_observations_flip_stale_and_reanalyze_resets() {
     );
     assert_eq!(series_value(&text, "epfis_accuracy_stale_entries"), 1.0);
     assert_eq!(series_value(&text, "epfis_accuracy_tracked_entries"), 1.0);
-    assert!(
-        series_value(&text, "epfis_accuracy_abs_rel_error_permille_count") >= 10.0
-    );
+    assert!(series_value(&text, "epfis_accuracy_abs_rel_error_permille_count") >= 10.0);
     // The event-ring drop counter rides along as a counter family.
     assert_eq!(series_value(&text, "epfis_obs_events_dropped_total"), 0.0);
     assert!(
@@ -232,10 +233,7 @@ fn binary_observe_answers_byte_identically_to_text() {
     let mut text = Client::connect(server.addr()).unwrap();
     ingest(&mut text, "orders.ck", &trace);
 
-    let text_line = text
-        .request("OBSERVE orders.ck 100 50 buffer=40")
-        .unwrap()[0]
-        .clone();
+    let text_line = text.request("OBSERVE orders.ck 100 50 buffer=40").unwrap()[0].clone();
     let mut binary = BinaryClient::connect(server.addr()).unwrap();
     let bin_line = binary.observe("orders.ck", 100, 50, Some(40)).unwrap();
     assert_eq!(bin_line, text_line);
@@ -268,16 +266,22 @@ fn slow_log_attributes_phases_on_both_surfaces() {
     // SLOWLOG: header plus newest-first entries carrying the phase split.
     let lines = c.request("SLOWLOG 8").unwrap();
     let header = &lines[0];
-    assert!(header.starts_with("slowlog threshold_us=0 recorded="), "{header}");
+    assert!(
+        header.starts_with("slowlog threshold_us=0 recorded="),
+        "{header}"
+    );
     assert!(lines.len() > 1, "{lines:?}");
     let newest = &lines[1];
     assert_eq!(field(newest, "command"), "ESTIMATE");
     for phase in ["queue_us", "parse_us", "execute_us", "wal_us", "total_us"] {
-        let _: u64 = field(newest, phase).parse().unwrap_or_else(|_| {
-            panic!("phase field {phase} must be an integer in {newest:?}")
-        });
+        let _: u64 = field(newest, phase)
+            .parse()
+            .unwrap_or_else(|_| panic!("phase field {phase} must be an integer in {newest:?}"));
     }
-    assert!(newest.contains("wire=\"ESTIMATE orders.ck 0.25 40\""), "{newest}");
+    assert!(
+        newest.contains("wire=\"ESTIMATE orders.ck 0.25 40\""),
+        "{newest}"
+    );
     let ids: Vec<u64> = lines[1..]
         .iter()
         .map(|l| field(l, "id").parse().unwrap())
@@ -288,7 +292,13 @@ fn slow_log_attributes_phases_on_both_surfaces() {
     let (status, body) = http_get(metrics_addr, "/slowlog?n=4");
     assert_eq!(status, 200);
     let first = body.lines().next().expect("slowlog json line");
-    for key in ["\"id\":", "\"command\":", "\"total_us\":", "\"queue_us\":", "\"wire\":"] {
+    for key in [
+        "\"id\":",
+        "\"command\":",
+        "\"total_us\":",
+        "\"queue_us\":",
+        "\"wire\":",
+    ] {
         assert!(first.contains(key), "{first}");
     }
 
