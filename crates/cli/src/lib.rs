@@ -146,7 +146,11 @@ pub const USAGE: &str = "usage: epfis <analyze|show|fpf|estimate|plan> --catalog
              lines — see docs/observability.md. --wal-dir write-ahead-logs
              every ANALYZE session so a crash or disconnect never loses
              in-flight references: on restart the server replays the log
-             and a client reattaches with ANALYZE RESUME — see
+             and a client reattaches with ANALYZE RESUME; with it COMMIT
+             is acknowledged at its synced log record and the catalog file
+             is a checkpoint. --wal-checkpoint-refs (default 1048576)
+             spaces both the in-flight sessions' checkpoints and the
+             catalog checkpoint, bounding what replay re-feeds — see
              docs/durability.md. If storage fails at runtime the server
              degrades to read-only — estimates keep serving, ingest answers
              ERR readonly — until the RECOVER command re-probes the disk;

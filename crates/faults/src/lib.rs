@@ -737,7 +737,7 @@ pub fn write_atomic(vfs: &dyn Vfs, path: &Path, contents: &str) -> io::Result<()
         Ok(())
     })();
     if result.is_err() {
-        let _ = fs::remove_file(&tmp);
+        let _ = vfs.remove(&tmp);
     }
     result
 }
@@ -913,6 +913,38 @@ mod tests {
             .filter(|n| n.contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files leaked: {leftovers:?}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed write removes its temp file through the `Vfs`, so the
+    /// cleanup is itself an observed (and fault-eligible) operation.
+    #[test]
+    fn write_atomic_failure_removes_the_temp_file_through_the_vfs() {
+        let dir = temp_dir("atomic-cleanup");
+        let path = dir.join("catalog.scat");
+        let vfs = FaultVfs::new();
+        vfs.schedule()
+            .push(Rule::new(FaultKind::Enospc).on_op(OpKind::Rename));
+        assert!(write_atomic(&vfs, &path, "new contents\n").is_err());
+        // create, write, sync, rename (faulted), then the remove.
+        assert_eq!(vfs.schedule().ops(), 5);
+        assert!(!path.exists());
+        let leftovers: Vec<String> = StdVfs
+            .list(&dir)
+            .unwrap()
+            .into_iter()
+            .filter(|n| n.contains(".tmp."))
+            .collect();
+        assert!(leftovers.is_empty(), "temp file leaked: {leftovers:?}");
+
+        // A faulted remove is the one way the temp file can stay.
+        let vfs = FaultVfs::new();
+        vfs.schedule()
+            .push(Rule::new(FaultKind::Eio).on_op(OpKind::SyncData));
+        vfs.schedule()
+            .push(Rule::new(FaultKind::Eio).on_op(OpKind::Remove));
+        assert!(write_atomic(&vfs, &path, "new contents\n").is_err());
+        assert_eq!(vfs.schedule().injected(), 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -23,17 +23,30 @@
 //! Writes go through [`epfis_faults::write_atomic`] (write temp + fsync +
 //! rename + directory sync, all via an injectable [`Vfs`]), so a crash or
 //! storage fault mid-save can never leave a torn file; on startup the
-//! server simply reloads the last successfully renamed version. A persist
-//! failure is first-class: it surfaces as a distinct `catalog persist
-//! failed` error, bumps [`SharedCatalog::persist_failures`], leaves the
-//! old on-disk file byte-identical, and the published in-memory snapshot
-//! keeps serving unchanged — the commit simply did not happen.
+//! server simply reloads the last successfully renamed version.
 //!
-//! Sharing: [`SharedCatalog`] keeps the current [`VersionedCatalog`] behind
-//! `RwLock<Arc<...>>`. Readers take the lock only long enough to clone the
-//! `Arc` ([`SharedCatalog::snapshot`]); a commit builds the successor
-//! catalog and persists it *outside* any lock readers touch, then swaps the
-//! `Arc`. Concurrent `ESTIMATE`s therefore never block behind an ingest.
+//! **Durability depends on whether a WAL is attached.** Without one, every
+//! commit persists the whole catalog before it publishes
+//! ([`SharedCatalog::commit`]): a persist failure surfaces as a distinct
+//! `catalog persist failed` error, bumps
+//! [`SharedCatalog::persist_failures`], leaves the old on-disk file
+//! byte-identical, and the published snapshot keeps serving unchanged.
+//! With a WAL, the `COMMIT` record is the commit point: a WAL commit
+//! ([`SharedCatalog::commit_analyzed`] with a sequence number) only
+//! publishes in memory, and the file becomes a *checkpoint* of the
+//! published snapshot plus its `wal_committed` watermark, written by
+//! `SharedCatalog::checkpoint` when [`crate::wal::ServerWal`] decides
+//! (every `--wal-checkpoint-refs` references, after replay, at shutdown)
+//! and by [`SharedCatalog::probe_persist`] at `RECOVER`. Replay finishes
+//! the commits above the watermark, so a failed checkpoint loses nothing.
+//!
+//! Sharing: [`SharedCatalog`] is a cheap handle (clones share one catalog)
+//! keeping the current [`VersionedCatalog`] behind `RwLock<Arc<...>>`.
+//! Readers take the lock only long enough to clone the `Arc`
+//! ([`SharedCatalog::snapshot`]); a commit builds the successor catalog
+//! (and persists it, without a WAL) *outside* any lock readers touch, then
+//! swaps the `Arc`. Concurrent `ESTIMATE`s therefore never block behind an
+//! ingest.
 
 use epfis::{Catalog, IndexStatistics};
 use epfis_estimators::TraceSummary;
@@ -71,12 +84,12 @@ pub struct VersionedEntry {
 #[derive(Clone, Default)]
 pub struct VersionedCatalog {
     epoch: u64,
-    /// Highest WAL session id whose commit this catalog version includes.
-    /// WAL replay skips COMMIT records at or below this watermark, making
-    /// "append commit record, then persist catalog" exactly-once: a crash
-    /// between the two replays the commit; a crash after finds it already
-    /// absorbed. Zero (the default, and omitted from the text form) means
-    /// no WAL commit has ever landed.
+    /// Highest WAL commit sequence this catalog version includes. WAL
+    /// replay skips COMMIT records at or below this watermark, making
+    /// "append commit record, checkpoint the catalog later" exactly-once:
+    /// a crash before the checkpoint replays the commit; a crash after
+    /// finds it already absorbed. Zero (the default, and omitted from the
+    /// text form) means no WAL commit has ever landed.
     wal_committed: u64,
     entries: BTreeMap<String, Arc<VersionedEntry>>,
 }
@@ -92,14 +105,14 @@ impl VersionedCatalog {
         self.epoch
     }
 
-    /// Highest WAL session id whose commit is reflected here (0 if none).
+    /// Highest WAL commit sequence reflected here (0 if none).
     pub fn wal_committed(&self) -> u64 {
         self.wal_committed
     }
 
     /// Advances the WAL-commit watermark (it never moves backwards).
-    pub fn set_wal_committed(&mut self, session_id: u64) {
-        self.wal_committed = self.wal_committed.max(session_id);
+    pub fn set_wal_committed(&mut self, commit_seq: u64) {
+        self.wal_committed = self.wal_committed.max(commit_seq);
     }
 
     /// Number of entries.
@@ -316,17 +329,25 @@ impl VersionedCatalog {
 }
 
 /// The concurrently shared catalog: `Arc` snapshots for readers, serialized
-/// copy-persist-swap commits for writers, optional durability to a file.
+/// commits for writers, optional durability to a file. Cloning yields
+/// another handle to the same catalog.
+#[derive(Clone)]
 pub struct SharedCatalog {
+    state: Arc<CatalogState>,
+    logger: Arc<epfis_obs::Logger>,
+}
+
+struct CatalogState {
     current: RwLock<Arc<VersionedCatalog>>,
     path: Option<PathBuf>,
-    commit_lock: Mutex<()>,
-    logger: Arc<epfis_obs::Logger>,
+    /// Serializes commits and file writes; holds what the file on disk
+    /// contains.
+    commit_lock: Mutex<OnDisk>,
     /// The filesystem the persist path writes through; `StdVfs` unless a
     /// fault-injecting test (or the `EPFIS_FAULTS` env hook) swapped one in.
     vfs: Arc<dyn Vfs>,
-    /// Commits whose atomic save failed (the in-memory snapshot and the
-    /// old on-disk file were both left untouched).
+    /// Catalog writes (commit persists and checkpoints) that failed; each
+    /// left the old on-disk file in place.
     persist_failures: AtomicU64,
     // The published catalog's epoch, readable without the lock. A reader
     // holding a snapshot compares this against the snapshot's epoch to
@@ -335,18 +356,39 @@ pub struct SharedCatalog {
     epoch_hint: AtomicU64,
 }
 
+/// The version the catalog file holds. Every commit bumps the epoch, so a
+/// snapshot with the same epoch has nothing the file lacks.
+struct OnDisk {
+    epoch: u64,
+    wal_committed: u64,
+}
+
 impl SharedCatalog {
+    fn with_state(
+        initial: VersionedCatalog,
+        path: Option<PathBuf>,
+        vfs: Arc<dyn Vfs>,
+    ) -> SharedCatalog {
+        let on_disk = OnDisk {
+            epoch: initial.epoch(),
+            wal_committed: initial.wal_committed(),
+        };
+        SharedCatalog {
+            state: Arc::new(CatalogState {
+                epoch_hint: AtomicU64::new(on_disk.epoch),
+                current: RwLock::new(Arc::new(initial)),
+                path,
+                commit_lock: Mutex::new(on_disk),
+                vfs,
+                persist_failures: AtomicU64::new(0),
+            }),
+            logger: Arc::new(epfis_obs::Logger::disabled()),
+        }
+    }
+
     /// An in-memory catalog (no persistence).
     pub fn in_memory() -> Self {
-        SharedCatalog {
-            current: RwLock::new(Arc::new(VersionedCatalog::new())),
-            path: None,
-            commit_lock: Mutex::new(()),
-            logger: Arc::new(epfis_obs::Logger::disabled()),
-            vfs: StdVfs::shared(),
-            persist_failures: AtomicU64::new(0),
-            epoch_hint: AtomicU64::new(0),
-        }
+        Self::with_state(VersionedCatalog::new(), None, StdVfs::shared())
     }
 
     /// Opens a durable catalog at `path`, reloading the last atomically
@@ -364,32 +406,25 @@ impl SharedCatalog {
         } else {
             VersionedCatalog::new()
         };
-        let epoch = initial.epoch();
-        Ok(SharedCatalog {
-            current: RwLock::new(Arc::new(initial)),
-            path: Some(path),
-            commit_lock: Mutex::new(()),
-            logger: Arc::new(epfis_obs::Logger::disabled()),
-            vfs,
-            persist_failures: AtomicU64::new(0),
-            epoch_hint: AtomicU64::new(epoch),
-        })
+        Ok(Self::with_state(initial, Some(path), vfs))
     }
 
-    /// Attaches a logger; each commit then emits a `catalog commit` span
-    /// covering build + atomic save + publish.
+    /// Attaches a logger to this handle; each commit then emits a `catalog
+    /// commit` span, and a failed checkpoint a `checkpoint_failed` event.
+    /// Handles cloned earlier keep their logger.
     pub fn set_logger(&mut self, logger: Arc<epfis_obs::Logger>) {
         self.logger = logger;
     }
 
     /// The persistence path, if durable.
     pub fn path(&self) -> Option<&std::path::Path> {
-        self.path.as_deref()
+        self.state.path.as_deref()
     }
 
     /// A point-in-time snapshot. O(1): clones the `Arc`, never the entries.
     pub fn snapshot(&self) -> Arc<VersionedCatalog> {
-        self.current
+        self.state
+            .current
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .clone()
@@ -402,28 +437,48 @@ impl SharedCatalog {
     /// *after* the `Arc` swap, so a fresh snapshot is always at least as new
     /// as the hint says.
     pub fn epoch_hint(&self) -> u64 {
-        self.epoch_hint.load(Ordering::Acquire)
+        self.state.epoch_hint.load(Ordering::Acquire)
     }
 
-    /// Commits whose atomic persist failed. Each failure left the in-memory
-    /// snapshot and the old on-disk file untouched.
+    /// Catalog writes that failed: commit persists (the commit then did not
+    /// happen) and checkpoints (retried later; the WAL keeps the commits).
+    /// Each left the old on-disk file in place.
     pub fn persist_failures(&self) -> u64 {
-        self.persist_failures.load(Ordering::Relaxed)
+        self.state.persist_failures.load(Ordering::Relaxed)
     }
 
     /// Re-persists the current snapshot to verify the storage under the
     /// catalog path is writable again (the `RECOVER` probe). A no-op
     /// `Ok(())` for in-memory catalogs.
     pub fn probe_persist(&self) -> io::Result<()> {
-        let _serialize = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(path) = &self.path {
-            let snap = self.snapshot();
-            write_atomic(self.vfs.as_ref(), path, &snap.to_text_checksummed()).map_err(|e| {
-                self.persist_failures.fetch_add(1, Ordering::Relaxed);
-                io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
-            })?;
+        let mut on_disk = self.lock_on_disk();
+        self.write(&mut on_disk, &self.snapshot())
+    }
+
+    /// Writes the published snapshot to the catalog file if the file lacks
+    /// any of its commits. On failure the old file stays, the failure is
+    /// counted and logged, and the caller keeps the WAL records the file
+    /// does not cover. A no-op `Ok(())` for in-memory catalogs.
+    pub(crate) fn checkpoint(&self) -> io::Result<()> {
+        let mut on_disk = self.lock_on_disk();
+        let snap = self.snapshot();
+        if on_disk.epoch == snap.epoch() {
+            return Ok(());
         }
-        Ok(())
+        self.write(&mut on_disk, &snap).inspect_err(|e| {
+            self.logger
+                .event(epfis_obs::Level::Warn, "catalog", "checkpoint_failed")
+                .field("epoch", snap.epoch())
+                .field("error", e.to_string())
+                .emit();
+        })
+    }
+
+    /// Whether the catalog file holds every commit up to WAL commit
+    /// sequence `commit_seq`, so the log records up to it may go. Always
+    /// true in memory: there is no file to recover into.
+    pub(crate) fn covers(&self, commit_seq: u64) -> bool {
+        self.state.path.is_none() || self.lock_on_disk().wal_committed >= commit_seq
     }
 
     /// Commits a new analysis for `name`: builds the successor catalog,
@@ -442,11 +497,15 @@ impl SharedCatalog {
     }
 
     /// [`commit`](SharedCatalog::commit) with an explicit `analyzed_at`
-    /// timestamp and, optionally, a WAL session id to fold into the
-    /// [`wal_committed`](VersionedCatalog::wal_committed) watermark. WAL
-    /// replay commits through this so a recovered catalog is byte-identical
-    /// to the one an uninterrupted run would have written: the timestamp
-    /// comes from the COMMIT record, not the replay clock.
+    /// timestamp and, optionally, the WAL commit sequence of a durable
+    /// `COMMIT` record. With a sequence the commit folds it into the
+    /// [`wal_committed`](VersionedCatalog::wal_committed) watermark and
+    /// publishes in memory only: the record is the durable copy, and a
+    /// later catalog checkpoint ([`crate::wal::ServerWal`] decides when)
+    /// writes the file.
+    /// WAL replay commits through this too, with the timestamp from the
+    /// record, so a recovered catalog is byte-identical to the one an
+    /// uninterrupted run would have written.
     pub fn commit_analyzed(
         &self,
         name: &str,
@@ -455,29 +514,57 @@ impl SharedCatalog {
         analyzed_at: u64,
         wal_committed: Option<u64>,
     ) -> io::Result<u64> {
-        let _serialize = self.commit_lock.lock().unwrap_or_else(|e| e.into_inner());
+        let mut on_disk = self.lock_on_disk();
         let mut span = self
             .logger
             .span(epfis_obs::Level::Info, "catalog", "commit")
             .field("entry", name)
-            .field("durable", self.path.is_some());
+            .field("durable", self.state.path.is_some());
         let mut next = (*self.snapshot()).clone();
         let epoch = next
             .insert(name, stats, analyzed_at, summary)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        if let Some(session_id) = wal_committed {
-            next.set_wal_committed(session_id);
+        match wal_committed {
+            Some(commit_seq) => next.set_wal_committed(commit_seq),
+            None => self.write(&mut on_disk, &next)?,
         }
-        if let Some(path) = &self.path {
-            write_atomic(self.vfs.as_ref(), path, &next.to_text_checksummed()).map_err(|e| {
-                self.persist_failures.fetch_add(1, Ordering::Relaxed);
-                io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
-            })?;
-        }
-        *self.current.write().unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
-        self.epoch_hint.store(epoch, Ordering::Release);
+        *self
+            .state
+            .current
+            .write()
+            .unwrap_or_else(|e| e.into_inner()) = Arc::new(next);
+        self.state.epoch_hint.store(epoch, Ordering::Release);
         span.add_field("epoch", epoch);
         Ok(epoch)
+    }
+
+    fn lock_on_disk(&self) -> std::sync::MutexGuard<'_, OnDisk> {
+        self.state
+            .commit_lock
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Atomically replaces the catalog file with `catalog` (no-op in
+    /// memory), recording what the file now holds.
+    fn write(&self, on_disk: &mut OnDisk, catalog: &VersionedCatalog) -> io::Result<()> {
+        let Some(path) = &self.state.path else {
+            return Ok(());
+        };
+        write_atomic(
+            self.state.vfs.as_ref(),
+            path,
+            &catalog.to_text_checksummed(),
+        )
+        .map_err(|e| {
+            self.state.persist_failures.fetch_add(1, Ordering::Relaxed);
+            io::Error::new(e.kind(), format!("catalog persist failed: {e}"))
+        })?;
+        *on_disk = OnDisk {
+            epoch: catalog.epoch(),
+            wal_committed: catalog.wal_committed(),
+        };
+        Ok(())
     }
 }
 

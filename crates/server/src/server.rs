@@ -24,10 +24,13 @@
 //! Shutdown is cooperative: the `SHUTDOWN` command (or
 //! [`ServerHandle::shutdown`]) raises a flag and pokes the listener awake;
 //! the accept thread then wakes every reactor, and each closes its
-//! connections. Process signals (SIGTERM) are *not* caught — std offers no
-//! portable handler — but every catalog save is atomic, so killing the
-//! process at any instant leaves the last committed version intact on
-//! disk; that is exactly what the CI smoke test asserts.
+//! connections, and the joining thread writes a final catalog checkpoint.
+//! Process signals (SIGTERM) are *not* caught — std offers no portable
+//! handler — but nothing is lost by killing the process at any instant:
+//! with a WAL every acknowledged commit is in the log and the restart
+//! replays what the last (atomic) catalog checkpoint lacks; without one
+//! every commit is an atomic catalog save. That is what the CI crash
+//! smoke test asserts.
 
 use crate::accuracy::{AccuracyConfig, AccuracyTracker};
 use crate::catalog::SharedCatalog;
@@ -385,8 +388,20 @@ impl ServerHandle {
         if let Some(t) = self.accept.take() {
             let _ = t.join();
         }
+        let stopped = !self.reactors.is_empty();
         for t in self.reactors.drain(..) {
             let _ = t.join();
+        }
+        // Every connection is closed and its session parked: checkpoint
+        // the catalog so the next start replays nothing it need not.
+        if let (true, Some(wal)) = (stopped, &self.shared.wal) {
+            if let Err(e) = wal.checkpoint() {
+                self.shared
+                    .logger
+                    .event(Level::Warn, "server", "shutdown_checkpoint_failed")
+                    .field("error", e.to_string())
+                    .emit();
+            }
         }
         if let Some(mut http) = self.metrics_http.take() {
             http.shutdown();
@@ -482,7 +497,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         let cat = Arc::clone(&catalog);
         registry.gauge_fn(
             "epfis_server_catalog_persist_failures_total",
-            "Catalog commits whose atomic persist failed (old version kept serving)",
+            "Catalog writes (commit persists and checkpoints) that failed; the old file stayed",
             &[],
             move || cat.persist_failures() as f64,
         );
@@ -1109,15 +1124,15 @@ pub(crate) fn execute(
             );
             let epoch = match &shared.wal {
                 Some(wal) => {
-                    // The COMMIT record (with its commit sequence and this
-                    // timestamp) goes durable first; the catalog write runs
-                    // under the same guard so the watermark order matches
-                    // record order. A crash between the two replays the
-                    // commit with the *recorded* timestamp — byte-identical
-                    // catalog either way.
+                    // The synced COMMIT record (with its commit sequence and
+                    // this timestamp) is the commit point; the in-memory
+                    // publish runs under the same guard so the watermark
+                    // order matches record order. A crash before the next
+                    // catalog checkpoint replays the commit with the
+                    // *recorded* timestamp — byte-identical catalog.
                     let analyzed_at = crate::catalog::unix_now();
-                    // The WAL phase here includes the catalog persist run
-                    // under the commit guard — it is all durability time.
+                    // The WAL phase includes the amortized catalog
+                    // checkpoint run under the commit guard.
                     timed_wal(|| {
                         wal.commit_session(wal_id, analyzed_at, |commit_seq| {
                             shared.catalog.commit_analyzed(
@@ -1130,15 +1145,11 @@ pub(crate) fn execute(
                         })
                     })
                     .map_err(|e| {
-                        // The failure may be the COMMIT record (WAL
-                        // poisoned) or the catalog save; either is a
-                        // durability loss — degrade so no later ingest can
-                        // be acknowledged against broken storage.
+                        // Only a failed COMMIT record loses durability (and
+                        // poisons the log): degrade so no later ingest can
+                        // be acknowledged against broken storage. A failed
+                        // checkpoint never fails the commit.
                         shared.note_wal_failure();
-                        let msg = e.to_string();
-                        if msg.contains("catalog persist failed") {
-                            shared.enter_degraded(&msg);
-                        }
                         format!("commit failed: {e}")
                     })?
                 }

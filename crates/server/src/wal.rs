@@ -27,18 +27,30 @@
 //! Checkpoint arrays (the analyzer's recency order and distance counts)
 //! pack as varints too, so a checkpoint is O(distinct pages) bytes.
 //!
+//! # Commit point and catalog checkpoints
+//!
+//! A commit is durable once its fdatasynced `COMMIT` record is: the server
+//! then publishes the new catalog in memory and acknowledges, without
+//! writing the catalog file. That file is a *checkpoint*: the published
+//! snapshot plus its `wal_committed` watermark, written atomically by
+//! [`ServerWal::commit_session`] once the `PAGE` references appended since
+//! the last checkpoint reach `checkpoint_refs`, once at the end of replay,
+//! and by [`ServerWal::checkpoint`] at shutdown (`RECOVER` rewrites it too).
+//! The log resets only when no session is attached or parked *and* the
+//! checkpoint covers every `COMMIT` in it, so a failed checkpoint costs
+//! nothing but a longer log; the next trigger retries it.
+//!
 //! # Exactly-once commits
 //!
 //! Every `COMMIT` record carries a *commit sequence number* allocated under
-//! the same lock that serializes the catalog write, so commit sequence
+//! the same lock that serializes the catalog commit, so commit sequence
 //! order, WAL record order, and catalog application order all agree. The
-//! catalog persists the highest applied sequence as its `wal_committed`
+//! checkpoint stores the highest applied sequence as its `wal_committed`
 //! watermark; replay re-applies a `COMMIT` record iff its sequence is above
-//! the watermark. A crash between the WAL append and the catalog write
-//! replays the commit (with the *recorded* `analyzed_at`, so the recovered
-//! catalog is byte-identical to the uninterrupted one); a crash after the
-//! catalog write skips it. The catalog is therefore always the old or the
-//! new version, never a blend, and never double-applies a session.
+//! the watermark (with the *recorded* `analyzed_at`, so the recovered
+//! catalog is byte-identical to the uninterrupted one). The file is
+//! therefore always the old or the new checkpoint, never a blend, and never
+//! double-applies a session.
 //!
 //! # Replay and parking
 //!
@@ -51,7 +63,9 @@
 //! session's last decodable `CHECKPOINT`, and the replay pass skips that
 //! session's earlier `PAGE` and `CHECKPOINT` records, so periodic
 //! checkpoints bound replay cost: at most one checkpoint interval of `PAGE`
-//! records is re-fed per session ([`RecoveryReport::refed_refs`]).
+//! records is re-fed per in-flight session, and the committed sessions the
+//! catalog checkpoint does not cover add at most one interval plus the
+//! session that crossed it ([`RecoveryReport::refed_refs`]).
 
 use std::collections::HashMap;
 use std::io;
@@ -85,8 +99,9 @@ pub struct WalConfig {
     pub fsync: FsyncPolicy,
     /// Segment rotation threshold in bytes.
     pub segment_bytes: u64,
-    /// References between analyzer checkpoints: replay re-feeds at most
-    /// this many `PAGE` references per in-flight session.
+    /// References between analyzer checkpoints, and between catalog
+    /// checkpoints: replay re-feeds at most this many `PAGE` references per
+    /// in-flight session, plus about this many of committed sessions.
     pub checkpoint_refs: u64,
     /// The filesystem the log talks to; the passthrough `StdVfs` in
     /// production, a scripted `FaultVfs` under chaos tests (or the
@@ -524,6 +539,10 @@ struct SessionState {
 struct WalInner {
     wal: Wal,
     scratch: Vec<u8>,
+    /// `PAGE` references appended since the last catalog checkpoint.
+    refs_since_checkpoint: u64,
+    /// Highest commit sequence whose `COMMIT` record the log may hold.
+    logged_seq: u64,
 }
 
 /// What [`ServerWal::open`] recovered, for startup logging and tests.
@@ -545,25 +564,30 @@ pub struct RecoveryReport {
 /// The server's durable-ingestion state: the segment log plus session-id
 /// and commit-sequence allocation, parked sessions, and replay.
 ///
-/// Lock order: `ServerWal::state` before `ServerWal::inner`; the commit
-/// guard is independent and taken first on the commit path.
+/// Lock order: the commit guard, then `ServerWal::state`, then
+/// `ServerWal::inner`; the catalog's own lock is innermost.
 pub struct ServerWal {
     inner: Mutex<WalInner>,
     state: Mutex<SessionState>,
-    /// Serializes COMMIT-record append + catalog write so the catalog's
+    /// Serializes COMMIT-record append + catalog commit so the catalog's
     /// `wal_committed` watermark order matches WAL record order.
     commit_guard: Mutex<(/* next commit_seq */ u64,)>,
     next_session_id: Mutex<u64>,
     checkpoint_refs: u64,
+    /// The catalog replay committed into; its file is the checkpoint the
+    /// log resets behind.
+    catalog: SharedCatalog,
     report: Option<RecoveryReport>,
 }
 
 impl ServerWal {
     /// Opens (or creates) the log at `config.dir` and replays it against
     /// `catalog`: commits above the watermark are re-applied with their
-    /// recorded timestamps, and in-flight sessions are rebuilt and parked.
-    /// Runs before the listener binds, so clients never observe a
-    /// half-recovered catalog.
+    /// recorded timestamps and checkpointed once, and in-flight sessions
+    /// are rebuilt and parked. Runs before the listener binds, so clients
+    /// never observe a half-recovered catalog. The returned log keeps a
+    /// handle to `catalog` and checkpoints it from then on; commit into
+    /// that catalog only.
     pub fn open(
         config: &WalConfig,
         catalog: &SharedCatalog,
@@ -761,15 +785,22 @@ impl ServerWal {
             .set(started.elapsed().as_micros() as i64);
         metrics.recovered_sessions.add(parked as u64);
 
+        // One checkpoint for everything replay committed, so the file
+        // covers every COMMIT in the log.
+        catalog.checkpoint()?;
+
         let server_wal = ServerWal {
             inner: Mutex::new(WalInner {
                 wal,
                 scratch: Vec::with_capacity(4096),
+                refs_since_checkpoint: 0,
+                logged_seq: max_seq,
             }),
             state: Mutex::new(state),
             commit_guard: Mutex::new((max_seq + 1,)),
             next_session_id: Mutex::new(max_sid.max(watermark) + 1),
             checkpoint_refs: config.checkpoint_refs,
+            catalog: catalog.clone(),
             report: Some(RecoveryReport {
                 records: record_count,
                 committed,
@@ -780,8 +811,8 @@ impl ServerWal {
         };
 
         // With nothing parked the log is fully absorbed (every commit is in
-        // the durable catalog): start from an empty segment so replay cost
-        // and disk use stay bounded.
+        // the catalog checkpoint): start from an empty segment so replay
+        // cost and disk use stay bounded.
         if parked == 0 {
             server_wal
                 .inner
@@ -831,7 +862,7 @@ impl ServerWal {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         {
             let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let WalInner { wal, scratch } = &mut *inner;
+            let WalInner { wal, scratch, .. } = &mut *inner;
             encode_begin(scratch, sid, name, segments, table_pages);
             wal.append(scratch)?;
             wal.sync()?;
@@ -849,24 +880,31 @@ impl ServerWal {
         pairs: impl Iterator<Item = (i64, u32)>,
     ) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let WalInner { wal, scratch } = &mut *inner;
+        let WalInner { wal, scratch, .. } = &mut *inner;
         encode_page(scratch, session_id, batch_len, pairs);
-        wal.append(scratch)
+        wal.append(scratch)?;
+        inner.refs_since_checkpoint += batch_len as u64;
+        Ok(())
     }
 
     /// Appends + syncs a `CHECKPOINT` record.
     pub fn append_checkpoint(&self, session_id: u64, cp: &SessionCheckpoint) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let WalInner { wal, scratch } = &mut *inner;
+        let WalInner { wal, scratch, .. } = &mut *inner;
         encode_checkpoint(scratch, session_id, cp);
         wal.append(scratch)?;
         wal.sync()
     }
 
-    /// Runs `commit` (the catalog write) under the commit guard after
-    /// appending + syncing the `COMMIT` record, handing it the allocated
-    /// commit sequence. The guard makes watermark order match record order,
-    /// which is what lets replay use a single high-water mark.
+    /// Runs `commit` (the in-memory catalog publish) under the commit guard
+    /// after appending + syncing the `COMMIT` record, handing it the
+    /// allocated commit sequence. The guard makes watermark order match
+    /// record order, which is what lets replay use a single high-water
+    /// mark. Once the synced record is durable so is the commit: when the
+    /// references appended since the last catalog checkpoint reach
+    /// `checkpoint_refs`, the catalog is checkpointed here too, and a failed
+    /// checkpoint (counted and logged by the catalog) leaves the commit
+    /// standing and the log in place for the next trigger to retry.
     pub fn commit_session<T>(
         &self,
         session_id: u64,
@@ -878,23 +916,38 @@ impl ServerWal {
             let commit_seq = guard.0;
             let appended = {
                 let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-                let WalInner { wal, scratch } = &mut *inner;
+                let WalInner { wal, scratch, .. } = &mut *inner;
                 encode_commit(scratch, session_id, commit_seq, analyzed_at);
-                wal.append(scratch).and_then(|()| wal.sync())
+                wal.append(scratch).and_then(|()| wal.sync()).map(|()| {
+                    inner.logged_seq = commit_seq;
+                    inner.refs_since_checkpoint
+                })
             };
-            appended.and_then(|()| {
+            appended.and_then(|refs| {
                 guard.0 += 1;
-                commit(commit_seq)
+                let out = commit(commit_seq)?;
+                if refs >= self.checkpoint_refs && self.catalog.checkpoint().is_ok() {
+                    let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+                    inner.refs_since_checkpoint = inner.refs_since_checkpoint.saturating_sub(refs);
+                }
+                Ok(out)
             })
         };
         // The session object is consumed whatever happened; release its
-        // slot so the log can still reset once everything drains. A failed
-        // catalog write left both the in-memory and on-disk catalog old, so
-        // the error response and the state agree: the commit did not
-        // happen. (Only a process crash between the record and the catalog
-        // write leaves the record to finish the commit at replay.)
+        // slot so the log can still reset once everything drains.
         self.session_closed();
         result
+    }
+
+    /// Checkpoints the catalog now and, when no session is attached or
+    /// parked, resets the log behind it (the shutdown path). A no-op write
+    /// when the catalog file already holds every commit.
+    pub fn checkpoint(&self) -> io::Result<()> {
+        let _guard = self.commit_guard.lock().unwrap_or_else(|e| e.into_inner());
+        self.catalog.checkpoint()?;
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        self.reset_if_absorbed(&state);
+        Ok(())
     }
 
     /// Appends + syncs an `ABORT` record and releases the session slot.
@@ -908,7 +961,7 @@ impl ServerWal {
     /// (used when superseding a parked session).
     fn append_abort(&self, session_id: u64) -> io::Result<()> {
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let WalInner { wal, scratch } = &mut *inner;
+        let WalInner { wal, scratch, .. } = &mut *inner;
         encode_abort(scratch, session_id);
         wal.append(scratch)?;
         wal.sync()
@@ -992,13 +1045,24 @@ impl ServerWal {
     }
 
     /// Releases one attached session; when nothing is attached or parked
-    /// the log is fully absorbed and restarts from an empty segment.
+    /// and the catalog checkpoint holds every `COMMIT` in the log, the log
+    /// restarts from an empty segment.
     pub fn session_closed(&self) {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         state.attached -= 1;
-        if state.attached == 0 && state.parked.is_empty() {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let _ = inner.wal.reset();
+        self.reset_if_absorbed(&state);
+    }
+
+    /// Resets the log if it is fully absorbed: see
+    /// [`session_closed`](ServerWal::session_closed). A failed reset
+    /// poisons the log, which the next ingest operation reports.
+    fn reset_if_absorbed(&self, state: &SessionState) {
+        if state.attached != 0 || !state.parked.is_empty() {
+            return;
+        }
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if self.catalog.covers(inner.logged_seq) && inner.wal.reset().is_ok() {
+            inner.refs_since_checkpoint = 0;
         }
     }
 }
@@ -1139,9 +1203,11 @@ mod tests {
         assert!(decode_record(&buf).is_err());
     }
 
-    /// Drives a full session through a ServerWal against a durable catalog,
-    /// then reopens everything: the commit must not be applied twice, and
-    /// the catalog file must be byte-identical across the reopen.
+    /// Drives a full session through a ServerWal against a durable catalog
+    /// and drops it before any catalog checkpoint (a crash): the first
+    /// reopen finishes the commit from the log and checkpoints it, the
+    /// second must not apply it again, and the catalog file is
+    /// byte-identical across the two.
     #[test]
     fn replay_applies_each_commit_exactly_once() {
         let dir = temp_dir("exactly-once");
@@ -1151,8 +1217,8 @@ mod tests {
         let logger = Logger::disabled();
         let base = EpfisConfig::default();
 
-        let first_commit = {
-            let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
+        {
+            let catalog = SharedCatalog::open(&cat_path).unwrap();
             let wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
             let sid = wal.begin("ix.a", None, Some(100)).unwrap();
             let pairs: Vec<(i64, u32)> = (0..200i64).map(|i| (i, (i % 100) as u32)).collect();
@@ -1171,20 +1237,34 @@ mod tests {
                 )
             })
             .unwrap();
+            assert_eq!(catalog.snapshot().epoch(), 1);
+            assert!(
+                !cat_path.exists(),
+                "a commit below the interval wrote the catalog"
+            );
+        }
+
+        let first_replay = {
+            let catalog = SharedCatalog::open(&cat_path).unwrap();
+            assert_eq!(catalog.snapshot().epoch(), 0);
+            let mut wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
+            assert_eq!(wal.take_report().unwrap().committed, 1);
+            assert_eq!(catalog.snapshot().epoch(), 1);
+            assert_eq!(
+                catalog.snapshot().get("ix.a").unwrap().analyzed_at,
+                1_234_567
+            );
             std::fs::read(&cat_path).unwrap()
         };
 
-        // Simulated crash after the commit: reopening must change nothing.
-        // (The live path reset the log when the session closed; write the
-        // records back as if the crash had preceded the reset.)
         {
-            let catalog = Arc::new(SharedCatalog::open(&cat_path).unwrap());
+            let catalog = SharedCatalog::open(&cat_path).unwrap();
             assert_eq!(catalog.snapshot().epoch(), 1);
             let wal = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
             assert_eq!(catalog.snapshot().epoch(), 1, "commit replayed twice");
             assert!(wal.parked_names().is_empty());
         }
-        assert_eq!(std::fs::read(&cat_path).unwrap(), first_commit);
+        assert_eq!(std::fs::read(&cat_path).unwrap(), first_replay);
     }
 
     /// A log that ends mid-session parks the session; resuming and
@@ -1241,7 +1321,8 @@ mod tests {
         .unwrap();
         assert_eq!(catalog.snapshot().epoch(), 1);
 
-        // The log reset once fully absorbed: the next open replays nothing.
+        // The commit sits above nothing new for this catalog's watermark:
+        // reopening against it must not apply the commit a second time.
         let reopened = ServerWal::open(&wal_cfg, &catalog, base, &logger).unwrap();
         assert_eq!(catalog.snapshot().epoch(), 1);
         assert!(reopened.parked_names().is_empty());

@@ -2,9 +2,10 @@
 //!
 //! The contract under test (docs/durability.md): killing the server at any
 //! instant leaves the persisted catalog either entirely old or entirely new
-//! (never mixed), replay never panics no matter where the log was cut, and
-//! a session resumed after a restart commits statistics bit-identical to an
-//! uninterrupted run. The kill-at-every-offset harness proves the first two
+//! (never mixed), replay never panics no matter where the log was cut,
+//! every commit acknowledged at its WAL record is recovered even if no
+//! catalog checkpoint followed it, and a session resumed after a restart
+//! commits statistics bit-identical to an uninterrupted run. The kill-at-every-offset harness proves the first two
 //! properties exhaustively: it records a reference WAL stream, then replays
 //! every possible byte-length prefix of it against a copy of the
 //! pre-session catalog.
@@ -77,7 +78,7 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
     // Reference stream: a full session (BEGIN, two PAGE batches, a
     // mid-stream CHECKPOINT, COMMIT) recorded through the real ServerWal
     // against the real catalog. A second "blocker" session stays open the
-    // whole time so the post-commit log reset cannot erase the stream.
+    // whole time so no log reset can erase the stream.
     let pairs = scan_pairs(240, 40);
     let (first, rest) = pairs.split_at(pairs.len() / 2);
     let wal = ServerWal::open(
@@ -102,6 +103,10 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
         catalog.commit_analyzed("ix.crash", stats, Some(Arc::new(summary)), 777, Some(seq))
     })
     .unwrap();
+    // The commit is durable in the log alone; the new catalog version is
+    // what an explicit checkpoint (as at SHUTDOWN) writes.
+    assert_eq!(std::fs::read(&cat_path).unwrap(), pre_bytes);
+    wal.checkpoint().unwrap();
     let post_bytes = std::fs::read(&cat_path).unwrap();
     let wal_bytes = std::fs::read(gen_wal.join("wal-000000.seg")).unwrap();
     assert_ne!(pre_bytes, post_bytes);
@@ -140,6 +145,146 @@ fn kill_at_every_offset_leaves_catalog_old_or_new() {
             assert!(recovered.parked_names().contains(&"blocker".to_string()));
         }
     }
+}
+
+/// Commits acknowledged at their WAL record survive a crash before the
+/// catalog checkpoint covers them: sessions commit through the real
+/// ServerWal with the catalog checkpointed only by the reference interval,
+/// the process "dies" without SHUTDOWN, and replay must recover a catalog
+/// byte-identical to the checkpoint an uninterrupted run writes at
+/// shutdown, re-feeding at most one checkpoint interval plus one session.
+#[test]
+fn crash_before_catalog_checkpoint_recovers_byte_identical() {
+    const INTERVAL: u64 = 1000;
+    let root = temp_dir("no-checkpoint");
+    let logger = epfis_obs::Logger::disabled();
+    let base = EpfisConfig::default();
+    let scans: Vec<Vec<(i64, u32)>> = (0..8u32).map(|i| scan_pairs(250 + 40 * i, 50)).collect();
+    let longest = scans.iter().map(Vec::len).max().unwrap() as u64;
+
+    // Commits every scan as its own session; returns the catalog bytes on
+    // disk when the last commit is acknowledged.
+    let run = |dir: &std::path::Path, shutdown: bool| -> Option<Vec<u8>> {
+        let mut cfg = wal_config(dir.join("wal"));
+        cfg.checkpoint_refs = INTERVAL;
+        let cat_path = dir.join("catalog.scat");
+        let catalog = SharedCatalog::open(&cat_path).unwrap();
+        let wal = ServerWal::open(&cfg, &catalog, base, &logger).unwrap();
+        for (i, pairs) in scans.iter().enumerate() {
+            let name = format!("ix.{i}");
+            let sid = wal.begin(&name, None, Some(50)).unwrap();
+            wal.append_page(sid, pairs.len(), pairs.iter().copied())
+                .unwrap();
+            let mut s = IngestSession::new(name.clone(), base, Some(50));
+            s.feed_batch(pairs).unwrap();
+            let (stats, summary) = s.commit().unwrap();
+            let at = 5_000 + i as u64;
+            wal.commit_session(sid, at, |seq| {
+                catalog.commit_analyzed(&name, stats, Some(Arc::new(summary)), at, Some(seq))
+            })
+            .unwrap();
+        }
+        assert_eq!(catalog.snapshot().len(), scans.len());
+        if shutdown {
+            wal.checkpoint().unwrap();
+        }
+        std::fs::read(&cat_path).ok()
+    };
+
+    let uninterrupted = run(&root.join("clean"), true).expect("shutdown writes the catalog");
+    let crash_dir = root.join("crash");
+    let at_crash = run(&crash_dir, false);
+    assert!(
+        at_crash.as_ref() != Some(&uninterrupted),
+        "the last commits must be in the log only, or the crash tests nothing"
+    );
+
+    let catalog = SharedCatalog::open(crash_dir.join("catalog.scat")).unwrap();
+    let mut cfg = wal_config(crash_dir.join("wal"));
+    cfg.checkpoint_refs = INTERVAL;
+    let mut wal = ServerWal::open(&cfg, &catalog, base, &logger).unwrap();
+    let report = wal.take_report().unwrap();
+    assert!(report.committed >= 1);
+    assert!(
+        report.refed_refs <= INTERVAL + longest,
+        "replay re-fed {} references",
+        report.refed_refs
+    );
+    assert_eq!(
+        std::fs::read(crash_dir.join("catalog.scat")).unwrap(),
+        uninterrupted,
+        "recovered catalog differs from the uninterrupted run's"
+    );
+}
+
+/// The deterministic cost of one WAL-backed COMMIT that triggers no
+/// catalog checkpoint: a disarmed `FaultVfs` counts the fault-eligible
+/// operations it performs, and the bytes it adds to disk, for a 200-entry
+/// and a 2,000-entry catalog. Both are the same: the COMMIT record and its
+/// fdatasync, with no catalog rewrite and no log reset.
+#[test]
+fn commit_cost_does_not_depend_on_catalog_size() {
+    let stats = {
+        let mut s = IngestSession::new("seed".into(), EpfisConfig::default(), Some(30));
+        s.feed_batch(&scan_pairs(240, 30)).unwrap();
+        s.commit().unwrap().0
+    };
+    let commit_cost = |entries: usize| -> (u64, u64) {
+        let root = temp_dir(&format!("commit-cost-{entries}"));
+        let cat_path = root.join("catalog.scat");
+        let mut seeded = VersionedCatalog::new();
+        for i in 0..entries {
+            seeded
+                .insert(format!("t{i}.k"), stats.clone(), 100, None)
+                .unwrap();
+        }
+        std::fs::write(&cat_path, seeded.to_text_checksummed()).unwrap();
+        let fv = epfis_faults::FaultVfs::new();
+        fv.schedule().set_armed(false);
+        let catalog = SharedCatalog::open_with_vfs(&cat_path, fv.clone().shared()).unwrap();
+        let mut cfg = WalConfig::new(root.join("wal"));
+        cfg.vfs = fv.clone().shared();
+        let wal = ServerWal::open(
+            &cfg,
+            &catalog,
+            EpfisConfig::default(),
+            &epfis_obs::Logger::disabled(),
+        )
+        .unwrap();
+        let pairs = scan_pairs(300, 40);
+        let sid = wal.begin("ix.new", None, Some(40)).unwrap();
+        wal.append_page(sid, pairs.len(), pairs.iter().copied())
+            .unwrap();
+        let mut session = IngestSession::new("ix.new".into(), EpfisConfig::default(), Some(40));
+        session.feed_batch(&pairs).unwrap();
+        let (stats, summary) = session.commit().unwrap();
+        let disk_bytes = || {
+            let seg = std::fs::metadata(root.join("wal").join("wal-000000.seg")).unwrap();
+            seg.len() + std::fs::metadata(&cat_path).unwrap().len()
+        };
+        let before = disk_bytes();
+        let catalog_before = std::fs::read(&cat_path).unwrap();
+        fv.schedule().reset_counters();
+        wal.commit_session(sid, 7, |seq| {
+            catalog.commit_analyzed("ix.new", stats, Some(Arc::new(summary)), 7, Some(seq))
+        })
+        .unwrap();
+        let ops = fv.schedule().ops();
+        assert_eq!(catalog.snapshot().len(), entries + 1);
+        assert_eq!(std::fs::read(&cat_path).unwrap(), catalog_before);
+        let bytes = disk_bytes() - before;
+        let _ = std::fs::remove_dir_all(&root);
+        (ops, bytes)
+    };
+    let small = commit_cost(200);
+    let large = commit_cost(2000);
+    assert_eq!(
+        small, large,
+        "(ops, bytes) per commit at 200 vs 2,000 entries"
+    );
+    // One write of the COMMIT record, one fdatasync; the record is a 25-byte
+    // body in an 8-byte length + CRC frame.
+    assert_eq!(small, (2, 33), "fault-eligible ops and bytes per commit");
 }
 
 /// End-to-end over TCP: disconnect mid-session (parks), resume on the same

@@ -4,10 +4,12 @@
 //! The contract under test (docs/durability.md, "Degraded mode"):
 //!
 //! * a durability failure anywhere in the WAL or catalog-persist path may
-//!   fail the request that hit it, but must never acknowledge an
-//!   unpersisted commit, never tear the on-disk catalog, and never stop
+//!   fail the request that hit it, but must never acknowledge a commit a
+//!   restart cannot recover, never tear the on-disk catalog, and never stop
 //!   the read path — estimates keep serving from the last committed
 //!   version while every ingest command answers `ERR readonly <cause>`;
+//! * with a WAL only a failed log write degrades: a failed catalog
+//!   checkpoint leaves the commit acknowledged and the log in place;
 //! * the fault-at-every-call-site sweep proves this exhaustively: it
 //!   counts the fault-eligible VFS operations a reference run performs,
 //!   then re-runs the same script failing each operation in turn;
@@ -22,8 +24,8 @@ use std::time::Duration;
 use epfis::EpfisConfig;
 use epfis_faults::{FaultKind, FaultVfs, OpKind, Rule, Vfs};
 use epfis_server::{
-    serve, Client, FsyncPolicy, ResilientClient, RetryPolicy, ServerConfig, SharedCatalog,
-    VersionedCatalog, WalConfig,
+    serve, Client, FsyncPolicy, ResilientClient, RetryPolicy, ServerConfig, ServerWal,
+    SharedCatalog, VersionedCatalog, WalConfig,
 };
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -75,6 +77,21 @@ fn catalog_entries(path: &Path, context: &str) -> Vec<String> {
     let catalog = VersionedCatalog::from_text_checksummed(&text)
         .unwrap_or_else(|e| panic!("{context}: catalog torn: {e}"));
     catalog.iter().map(|(name, _)| name.to_string()).collect()
+}
+
+/// The entry names a restart on the healed disk recovers: the catalog file
+/// plus WAL replay, as `epfis serve` opens them.
+fn recovered_entries(root: &Path) -> Vec<String> {
+    let catalog = SharedCatalog::open(root.join("catalog.scat")).unwrap();
+    ServerWal::open(
+        &WalConfig::new(root.join("wal")),
+        &catalog,
+        EpfisConfig::default(),
+        &epfis_obs::Logger::disabled(),
+    )
+    .unwrap();
+    let snap = catalog.snapshot();
+    snap.iter().map(|(name, _)| name.to_string()).collect()
 }
 
 fn stat_value(lines: &[String], key: &str) -> Option<u64> {
@@ -183,9 +200,9 @@ fn run_script(root: &Path, pre_bytes: &[u8], vfs: Arc<dyn Vfs>, context: &str) -
 }
 
 /// The exhaustive sweep: fail the i-th fault-eligible VFS operation for
-/// every i the reference run performs, and assert the commit is either
-/// exactly committed or cleanly absent — old-or-new, acknowledged only if
-/// persisted, reads always serving.
+/// every i the reference run performs, and assert the catalog file is old
+/// or new, an acknowledged commit is in what a restart recovers, and reads
+/// always serve.
 #[test]
 fn fault_at_every_call_site_is_old_or_new() {
     let root = temp_dir("sweep");
@@ -221,15 +238,22 @@ fn fault_at_every_call_site_is_old_or_new() {
             old || new,
             "{context}: catalog is neither old nor new: {entries:?}"
         );
-        if outcome.commit_ack.is_some() {
-            // Never acknowledge an unpersisted commit.
-            assert!(
-                new,
-                "{context}: commit acknowledged but the catalog lacks the entry"
-            );
-        }
         if outcome.start_failed {
             assert!(old, "{context}: startup failure must leave the old catalog");
+        }
+        // Never acknowledge a commit a restart cannot recover. The entry
+        // may be in the log alone (the shutdown checkpoint hit the fault),
+        // so ask the catalog plus replay on the healed disk.
+        let recovered = recovered_entries(&iter_root);
+        assert!(
+            recovered == ["base"] || recovered == ["base", "ix.f"],
+            "{context}: recovered catalog is neither old nor new: {recovered:?}"
+        );
+        if outcome.commit_ack.is_some() {
+            assert!(
+                recovered.len() == 2,
+                "{context}: commit acknowledged but not recovered"
+            );
         }
         let _ = std::fs::remove_dir_all(&iter_root);
     }
@@ -391,6 +415,78 @@ fn catalog_persist_failure_degrades_and_recovers() {
 
     drop(c);
     server.shutdown_and_join();
+}
+
+/// With a WAL a failed catalog checkpoint loses nothing: the commit is
+/// acknowledged at its COMMIT record, the server stays healthy, the old
+/// catalog file stays, and a restart on the healed disk recovers every
+/// acknowledged entry from the log.
+#[test]
+fn failed_checkpoint_keeps_the_commit_and_the_server_healthy() {
+    let root = temp_dir("checkpointfail");
+    let cat_path = root.join("catalog.scat");
+    let pre_bytes = seed_catalog(&cat_path);
+    let mut wal_cfg = WalConfig::new(root.join("wal"));
+    // Every commit below crosses the interval, so each one checkpoints.
+    wal_cfg.checkpoint_refs = 100;
+    let fv = FaultVfs::new();
+    fv.schedule().push(
+        Rule::new(FaultKind::Enospc)
+            .on_op(OpKind::Rename)
+            .path_contains("catalog.scat"),
+    );
+    let server = serve(ServerConfig {
+        catalog_path: Some(cat_path.clone()),
+        wal: Some(wal_cfg.clone()),
+        vfs: Some(fv.clone().shared()),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    for name in ["ix.c", "ix.d"] {
+        c.request(&format!("ANALYZE BEGIN {name} table_pages=40"))
+            .unwrap();
+        for chunk in scan_pairs(120, 40).chunks(60) {
+            c.request(&page_line(chunk)).unwrap();
+        }
+        let commit = c.request("ANALYZE COMMIT").unwrap();
+        assert!(
+            commit[0].starts_with(&format!("committed {name}")),
+            "{commit:?}"
+        );
+        c.request(&format!("ESTIMATE {name} 0.5 10")).unwrap();
+    }
+    let stats = c.request("STATS").unwrap();
+    assert_eq!(stat_value(&stats, "degraded"), Some(0));
+    assert!(stat_value(&stats, "catalog_persist_failures").unwrap() >= 2);
+    assert!(fv.schedule().injected() >= 2, "the checkpoints never ran");
+    assert_eq!(
+        std::fs::read(&cat_path).unwrap(),
+        pre_bytes,
+        "a failed checkpoint must leave the old catalog byte-identical"
+    );
+    drop(c);
+    // The shutdown checkpoint fails too; the log keeps both commits.
+    server.shutdown_and_join();
+    assert_eq!(std::fs::read(&cat_path).unwrap(), pre_bytes);
+
+    let server = serve(ServerConfig {
+        catalog_path: Some(cat_path.clone()),
+        wal: Some(wal_cfg),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let show = c.request("SHOW").unwrap().join("\n");
+    for name in ["base", "ix.c", "ix.d"] {
+        assert!(show.contains(name), "{name} not recovered: {show}");
+    }
+    drop(c);
+    server.shutdown_and_join();
+    assert_eq!(
+        catalog_entries(&cat_path, "after restart"),
+        ["base", "ix.c", "ix.d"]
+    );
 }
 
 /// The self-healing client: the server is stopped and restarted (same WAL
